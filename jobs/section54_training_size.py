@@ -7,20 +7,13 @@ import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import get_session, to_markdown
+from _common import run_job, to_markdown
 
 from repro.eval.tables import section54
 
 
 def main() -> None:
-    spark = get_session("section54_training_size")
-    df = section54(spark)
-    md = to_markdown(df)
-    print(md)
-    out = pathlib.Path(__file__).resolve().parent.parent / "results" / "section54_training_size.md"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(md + "\n")
-    print(f"wrote {out}")
+    run_job("section54_training_size", lambda spark: to_markdown(section54(spark)))
 
 
 if __name__ == "__main__":

@@ -7,19 +7,16 @@ import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import get_session, to_markdown
+from _common import run_job, to_markdown
 
 from repro.eval.tables import table1, table1b
 
 
 def main() -> None:
-    spark = get_session("table1_datasets")
-    md = to_markdown(table1(spark)) + "\n\n" + to_markdown(table1b(spark))
-    print(md)
-    out = pathlib.Path(__file__).resolve().parent.parent / "results" / "table1_datasets.md"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(md + "\n")
-    print(f"wrote {out}")
+    run_job(
+        "table1_datasets",
+        lambda spark: to_markdown(table1(spark)) + "\n\n" + to_markdown(table1b(spark)),
+    )
 
 
 if __name__ == "__main__":

@@ -7,20 +7,13 @@ import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import get_session, to_markdown
+from _common import run_job, to_markdown
 
 from repro.eval.tables import table5
 
 
 def main() -> None:
-    spark = get_session("table5_weight_final")
-    df = table5(spark)
-    md = to_markdown(df)
-    print(md)
-    out = pathlib.Path(__file__).resolve().parent.parent / "results" / "table5_weight_final.md"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(md + "\n")
-    print(f"wrote {out}")
+    run_job("table5_weight_final", lambda spark: to_markdown(table5(spark)))
 
 
 if __name__ == "__main__":

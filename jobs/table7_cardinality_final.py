@@ -7,20 +7,13 @@ import pathlib
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
-from _common import get_session, to_markdown
+from _common import run_job, to_markdown
 
 from repro.eval.tables import table7
 
 
 def main() -> None:
-    spark = get_session("table7_cardinality_final")
-    df = table7(spark)
-    md = to_markdown(df)
-    print(md)
-    out = pathlib.Path(__file__).resolve().parent.parent / "results" / "table7_cardinality_final.md"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(md + "\n")
-    print(f"wrote {out}")
+    run_job("table7_cardinality_final", lambda spark: to_markdown(table7(spark)))
 
 
 if __name__ == "__main__":

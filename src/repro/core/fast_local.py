@@ -1,15 +1,16 @@
 """Vectorised NumPy engine for the brute-force sweeps.
 
-``run_method_local`` (core.local_engine) is the readable pandas reference;
-this module is the O(sort) NumPy equivalent used by the 255-combination
-sweeps and the figure-section grids, where thousands of train/score/prune
-runs hit feature frames of up to ~10M pairs. ``LocalContext`` factorises the
-pair endpoints and the ground-truth membership once per dataset; each run is
-then a matrix multiply plus a few sorts/scatter-adds.
+The 255-combination sweeps and the figure-section grids (Tables 3/4,
+Sections 5.2/5.4) need thousands of train/score/prune runs on one dataset —
+far too many tiny Spark jobs to launch profitably. Features are computed
+*once* per dataset in Spark and collected; ``LocalContext`` then factorises
+the pair endpoints and the ground-truth membership, and each run is a matrix
+multiply plus a few sorts/scatter-adds.
 
-Equivalence with both the pandas engine and the Spark pipeline is asserted
-in tests/test_fast_local.py — same sampler, same classifier, same pruning
-semantics and tie-breaking.
+The Spark pruners (``core.prune_weight``, ``core.prune_cardinality``) are the
+reference: tests/test_pipeline.py, tests/test_pruning.py and
+tests/test_fast_local.py assert the same sampler, classifier, pruning
+semantics and tie-breaking on Clean-Clean and Dirty data.
 """
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ import numpy as np
 import pandas as pd
 
 from repro.classifier.logistic import fit_logistic
+from repro.classifier.training import balanced_indices, match_mask, sort_pairs
 from repro.eval.metrics import Effectiveness
 
 
@@ -40,11 +42,8 @@ class LocalContext:
     """Per-dataset precomputation for fast sweep runs."""
 
     def __init__(self, features: pd.DataFrame, gt: pd.DataFrame):
-        # Sort once by (id1, id2): this is exactly the canonical order the
-        # shared sampler (classifier.training.sample_balanced) uses.
-        f = features.sort_values(["id1", "id2"], kind="mergesort").reset_index(
-            drop=True
-        )
+        # Sort once into the shared sampler's canonical (id1, id2) order.
+        f = sort_pairs(features)
         self.id1 = f["id1"].to_numpy()
         self.id2 = f["id2"].to_numpy()
         ids = np.concatenate([self.id1, self.id2])
@@ -55,23 +54,15 @@ class LocalContext:
         self.c2 = codes[n:]
         self.columns = [c for c in f.columns if c not in ("id1", "id2")]
         self.X = f[self.columns].to_numpy(dtype=np.float64)
-        key = pd.MultiIndex.from_frame(gt[["id1", "id2"]])
-        self.is_match = pd.MultiIndex.from_frame(f[["id1", "id2"]]).isin(key)
+        self.is_match = match_mask(f, gt)
         self.n_gt = len(gt)
 
     # -- training ----------------------------------------------------------
     def sample(self, cols: list[str], n_per_class: int, seed: int):
         """Identical semantics to ``sample_balanced`` on the same frame."""
-        g = np.random.default_rng(seed)
-        pos_idx = np.flatnonzero(self.is_match)
-        neg_idx = np.flatnonzero(~self.is_match)
-        pos_take = pos_idx[g.permutation(len(pos_idx))[: int(n_per_class)]]
-        neg_take = neg_idx[g.permutation(len(neg_idx))[: int(n_per_class)]]
-        take = np.concatenate([pos_take, neg_take])
+        take, y = balanced_indices(self.is_match, n_per_class, seed)
         ci = [self.columns.index(c) for c in cols]
-        X = self.X[np.ix_(take, ci)]
-        y = np.concatenate([np.ones(len(pos_take)), np.zeros(len(neg_take))])
-        return X, y
+        return self.X[np.ix_(take, ci)], y
 
     # -- scoring -----------------------------------------------------------
     def score(self, cols: list[str], n_per_class: int, seed: int) -> np.ndarray:
@@ -122,8 +113,12 @@ class LocalContext:
             vi = np.flatnonzero(valid)
             order = np.lexsort((self.id2[vi], self.id1[vi], -p[vi]))
             ranked = vi[order]  # pair indices in global quality order
-            in1 = _group_cumcount(self.c1[ranked]) < int(k)
-            in2 = _group_cumcount(self.c2[ranked]) < int(k)
+            # Rank each entity over both endpoint roles (its whole
+            # neighbourhood): on Dirty ER an entity is id1 of some pairs and
+            # id2 of others. Interleaving keeps the global order per entity.
+            ends = np.stack([self.c1[ranked], self.c2[ranked]], 1).ravel()
+            top = (_group_cumcount(ends) < int(k)).reshape(-1, 2)
+            in1, in2 = top[:, 0], top[:, 1]
             comb = (in1 & in2) if algorithm == "RCNP" else (in1 | in2)
             keep = np.zeros_like(valid)
             keep[ranked[comb]] = True
@@ -143,7 +138,10 @@ class LocalContext:
         r: float = 0.35,
     ) -> Effectiveness:
         p = self.score(cols, n_train_per_class, seed)
-        keep = self.prune(p, algorithm, K=K, k=k, r=r)
+        return self.evaluate(self.prune(p, algorithm, K=K, k=k, r=r))
+
+    def evaluate(self, keep: np.ndarray) -> Effectiveness:
+        """Effectiveness of a retained-mask (twin of ``eval.metrics``)."""
         return Effectiveness(
             n_pairs=int(keep.sum()),
             n_matches_found=int((keep & self.is_match).sum()),

@@ -100,10 +100,8 @@ SCALABILITY_ANALOGS: dict[str, ERConfig] = {
 }
 
 
-def load_analog(
-    spark: SparkSession, name: str, *, seed: int | None = None
-) -> tuple[DataFrame, DataFrame, str]:
-    """Materialise a named analog as Spark frames.
+def analog_pandas(name: str, *, seed: int | None = None) -> tuple[pd.DataFrame, pd.DataFrame, str]:
+    """Generate a named analog as pandas frames.
 
     Returns ``(entities, ground_truth, task)`` where ``task`` is
     ``"clean"`` or ``"dirty"``. ``seed`` overrides the config's seed (used by
@@ -117,19 +115,13 @@ def load_analog(
         raise KeyError(f"unknown analog dataset {name!r}")
     if seed is not None:
         cfg = ERConfig(**{**cfg.__dict__, "seed": seed})
-    ent_pdf, gt_pdf = gen(cfg)
-    return to_spark(spark, ent_pdf), to_spark(spark, gt_pdf), task
-
-
-def analog_pandas(name: str, *, seed: int | None = None) -> tuple[pd.DataFrame, pd.DataFrame, str]:
-    """Pandas variant of :func:`load_analog` (for the DuckDB oracle side)."""
-    if name in CLEAN_CLEAN_ANALOGS:
-        cfg, task, gen = CLEAN_CLEAN_ANALOGS[name], "clean", clean_clean
-    elif name in SCALABILITY_ANALOGS:
-        cfg, task, gen = SCALABILITY_ANALOGS[name], "dirty", dirty
-    else:
-        raise KeyError(f"unknown analog dataset {name!r}")
-    if seed is not None:
-        cfg = ERConfig(**{**cfg.__dict__, "seed": seed})
     ent, gt = gen(cfg)
     return ent, gt, task
+
+
+def load_analog(
+    spark: SparkSession, name: str, *, seed: int | None = None
+) -> tuple[DataFrame, DataFrame, str]:
+    """:func:`analog_pandas`, materialised as Spark frames."""
+    ent, gt, task = analog_pandas(name, seed=seed)
+    return to_spark(spark, ent), to_spark(spark, gt), task

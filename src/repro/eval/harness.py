@@ -1,22 +1,13 @@
-"""Experiment harness: run (dataset x method x seed) grids and summarise.
+"""Experiment-harness vocabulary: labelled method configurations and a
+minimal markdown renderer (no external tabulate dependency).
 
-Each paper table is a grid of runs over the synthetic analogs. The harness
-prepares every dataset once (blocking + features are shared across methods),
-repeats each method over several seeds (the paper averages 10 runs; the
-default here is 3 — configurable, documented in EXPERIMENTS.md) and returns
-tidy pandas frames plus minimal markdown renderers (no external tabulate
-dependency).
+The (dataset x method x seed) grids themselves live in ``eval.tables``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import pandas as pd
-from pyspark.sql import SparkSession
-
-from repro.core.pipeline import DatasetArtifacts, prepare_dataset, run_method
-from repro.er_data.datasets import load_analog
 
 
 @dataclass(frozen=True)
@@ -32,65 +23,6 @@ class MethodSpec:
     feature_set: tuple[str, ...]
     n_train_per_class: int
     blast_r: float = 0.35
-
-
-def prepare_analogs(
-    spark: SparkSession, names: Iterable[str]
-) -> dict[str, DatasetArtifacts]:
-    """Block + featurise every named analog once."""
-    out = {}
-    for name in names:
-        entities, gt, task = load_analog(spark, name)
-        out[name] = prepare_dataset(spark, name, entities, gt, task)
-    return out
-
-
-def evaluate_grid(
-    artifacts: dict[str, DatasetArtifacts],
-    specs: Iterable[MethodSpec],
-    seeds: Iterable[int],
-) -> pd.DataFrame:
-    """Run every (dataset, method, seed) cell; one tidy row each."""
-    rows = []
-    for name, arts in artifacts.items():
-        for spec in specs:
-            for seed in seeds:
-                res = run_method(
-                    arts,
-                    spec.algorithm,
-                    feature_set=spec.feature_set,
-                    n_train_per_class=spec.n_train_per_class,
-                    seed=seed,
-                    blast_r=spec.blast_r,
-                )
-                rows.append(
-                    {
-                        "dataset": name,
-                        "method": spec.label,
-                        "seed": seed,
-                        "recall": res.eff.recall,
-                        "precision": res.eff.precision,
-                        "f1": res.eff.f1,
-                        "n_pairs": res.eff.n_pairs,
-                        "n_candidates": arts.n_candidates,
-                        "rt_s": res.runtime_s,
-                    }
-                )
-    return pd.DataFrame(rows)
-
-
-def summarize(grid: pd.DataFrame) -> pd.DataFrame:
-    """Mean over seeds per (dataset, method), preserving run order."""
-    return (
-        grid.groupby(["dataset", "method"], sort=False, as_index=False)
-        .agg(
-            recall=("recall", "mean"),
-            precision=("precision", "mean"),
-            f1=("f1", "mean"),
-            n_pairs=("n_pairs", "mean"),
-            rt_s=("rt_s", "mean"),
-        )
-    )
 
 
 def to_markdown(df: pd.DataFrame, *, floatfmt: str = "%.4f") -> str:

@@ -7,9 +7,9 @@ spark-submit; ``benchmarks/bench_<name>.py`` times each and prints the rows.
 
 Engine choice per experiment (DESIGN.md §5): tables that report run-times
 (5, 6, 7, scalability) execute the Spark pipeline; pure-effectiveness sweeps
-(Tables 3/4, Sections 5.2/5.4) use the pandas local engine — equivalence-
-tested against Spark in tests/test_pipeline.py — because they need thousands
-of tiny runs, not dataflow timing.
+(Tables 3/4, Sections 5.2/5.4) use the NumPy engine ``core.fast_local`` —
+equivalence-tested against Spark on Clean-Clean and Dirty data — because
+they need thousands of tiny runs, not dataflow timing.
 
 Paper-reported numbers are bundled as ``PAPER_*`` constants so harnesses and
 EXPERIMENTS.md can print paper-vs-measured side by side.
@@ -233,17 +233,19 @@ PAPER_TABLE7 = {
 }
 
 
-def _final_comparison(
+def _spark_grid(
     spark: SparkSession,
+    names: list[str],
     specs: list[MethodSpec],
-    paper: dict[str, tuple],
-    names: Iterable[str] | None,
     seeds: list[int],
 ) -> pd.DataFrame:
+    """One row per (dataset, method): effectiveness and RT of the Spark
+    pipeline, averaged over ``seeds`` (the paper averages 10 runs; the
+    tables here default to 2–3, see EXPERIMENTS.md)."""
     rows = []
-    for name in _clean_names(names):
+    for name in names:
         arts = get_artifacts(spark, name)
-        for si, spec in enumerate(specs):
+        for spec in specs:
             effs, rts = [], []
             for seed in seeds:
                 res = run_method(
@@ -252,24 +254,39 @@ def _final_comparison(
                     feature_set=spec.feature_set,
                     n_train_per_class=spec.n_train_per_class,
                     seed=seed,
+                    blast_r=spec.blast_r,
                 )
                 effs.append(res.eff)
                 rts.append(res.runtime_s)
-            p = paper.get(name)
             rows.append(
                 {
                     "dataset": name,
                     "method": spec.label,
+                    "n_candidates": arts.n_candidates,
                     "recall": sum(e.recall for e in effs) / len(effs),
                     "precision": sum(e.precision for e in effs) / len(effs),
                     "f1": sum(e.f1 for e in effs) / len(effs),
                     "rt_s": sum(rts) / len(rts),
-                    "paper_recall": p[si][0] if p else None,
-                    "paper_precision": p[si][1] if p else None,
-                    "paper_f1": p[si][2] if p else None,
                 }
             )
     return pd.DataFrame(rows)
+
+
+def _final_comparison(
+    spark: SparkSession,
+    specs: list[MethodSpec],
+    paper: dict[str, tuple],
+    names: Iterable[str] | None,
+    seeds: list[int],
+) -> pd.DataFrame:
+    df = _spark_grid(spark, _clean_names(names), specs, seeds)
+    spec_index = {spec.label: si for si, spec in enumerate(specs)}
+    cells = [
+        paper[d][spec_index[m]] if d in paper else (None, None, None)
+        for d, m in zip(df["dataset"], df["method"])
+    ]
+    df[["paper_recall", "paper_precision", "paper_f1"]] = cells
+    return df.drop(columns="n_candidates")
 
 
 def table5(
@@ -472,33 +489,7 @@ def section55(
         MethodSpec("CNP", "CNP", FEATURES_21, -1),
         MethodSpec("RCNP", "RCNP", FEATURES_RCNP, 25),
     ]
-    rows = []
-    for name in names:
-        arts = get_artifacts(spark, name)
-        for spec in specs:
-            effs, rts = [], []
-            for seed in seeds:
-                res = run_method(
-                    arts,
-                    spec.algorithm,
-                    feature_set=spec.feature_set,
-                    n_train_per_class=spec.n_train_per_class,
-                    seed=seed,
-                )
-                effs.append(res.eff)
-                rts.append(res.runtime_s)
-            rows.append(
-                {
-                    "dataset": name,
-                    "method": spec.label,
-                    "n_candidates": arts.n_candidates,
-                    "recall": sum(e.recall for e in effs) / len(effs),
-                    "precision": sum(e.precision for e in effs) / len(effs),
-                    "f1": sum(e.f1 for e in effs) / len(effs),
-                    "rt_s": sum(rts) / len(rts),
-                }
-            )
-    df = pd.DataFrame(rows)
+    df = _spark_grid(spark, names, specs, seeds)
     base = df[df["dataset"] == names[0]].set_index("method")
     df["speedup"] = [
         (r["n_candidates"] / base.loc[r["method"], "n_candidates"])

@@ -1,16 +1,18 @@
 """Equivalence tests for the vectorised sweep engine (core.fast_local).
 
-``LocalContext`` must reproduce the pandas reference engine exactly — same
-sampler, same classifier, same pruning semantics and tie-breaking — for
-every algorithm and several seeds/feature sets, on real pipeline features.
+``LocalContext`` must reproduce the Spark pruners exactly — same pruning
+semantics and tie-breaking — for every algorithm and several seeds, on real
+pipeline features, and must sample exactly like the shared sampler.
+End-to-end runs against the Spark pipeline, on Clean-Clean and Dirty data,
+are in tests/test_pipeline.py.
 """
 import numpy as np
 import pandas as pd
 import pytest
 
+import repro.core
 from repro.blocking import build_blocks
 from repro.core.fast_local import LocalContext, _group_cumcount
-from repro.core.local_engine import run_method_local
 from repro.core.pipeline import PRUNERS
 from repro.er_data.generator import ERConfig, clean_clean, to_spark
 from repro.features import compute_features
@@ -42,16 +44,23 @@ class TestGroupCumcount:
 class TestContextEquivalence:
     @pytest.mark.parametrize("algo", PRUNERS)
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_matches_pandas_reference(self, dataset, algo, seed):
+    def test_matches_pandas_reference(self, spark, dataset, algo, seed):
+        """Reference: the Spark pruner run on the probabilities
+        ``LocalContext.score`` computed; the retained pair sets must match."""
         pdf, gt, gstats = dataset
         ctx = LocalContext(pdf, gt)
         cols = columns_for(("CF-IBF", "RACCB", "JS", "LCP"))
         K, k = gstats.sum_block_sizes // 2, 3
-        fast = ctx.run(algo, cols, n_train_per_class=15, seed=seed, K=K, k=k)
-        ref = run_method_local(
-            pdf, gt, algo, cols, n_train_per_class=15, seed=seed, K=K, k=k
+        p = ctx.score(cols, 15, seed)
+        keep = ctx.prune(p, algo, K=K, k=k)
+        scored = spark.createDataFrame(
+            pd.DataFrame({"id1": ctx.id1, "id2": ctx.id2, "p": p})
         )
-        assert fast == ref
+        kw = {"CEP": {"K": K}, "CNP": {"k": k}, "RCNP": {"k": k}}.get(algo, {})
+        ref = getattr(repro.core, algo.lower())(scored, **kw).collect()
+        assert set(zip(ctx.id1[keep].tolist(), ctx.id2[keep].tolist())) == {
+            (r["id1"], r["id2"]) for r in ref
+        }
 
     def test_sampler_identical_to_shared_sampler(self, dataset):
         from repro.classifier.training import sample_balanced

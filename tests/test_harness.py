@@ -2,41 +2,34 @@
 import pandas as pd
 import pytest
 
-from repro.core.pipeline import FEATURES_21, FEATURES_BLAST, prepare_dataset
-from repro.er_data.generator import ERConfig, clean_clean, to_spark
-from repro.eval.harness import MethodSpec, evaluate_grid, summarize, to_markdown
+from repro.core.pipeline import FEATURES_21, FEATURES_BLAST
+from repro.eval.harness import MethodSpec, to_markdown
+from repro.eval.tables import _spark_grid
 
-
-@pytest.fixture(scope="module")
-def tiny_arts(spark):
-    ent, gt = clean_clean(
-        ERConfig(n_matches=40, n_only1=10, n_only2=10, vocab_size=500, seed=13)
-    )
-    return {
-        "tiny": prepare_dataset(
-            spark, "tiny", to_spark(spark, ent), to_spark(spark, gt), "clean"
-        )
-    }
+BCL = MethodSpec("BCl", "BCl", FEATURES_21, 10)
 
 
 class TestEvaluateGrid:
-    def test_grid_shape_and_columns(self, tiny_arts):
-        specs = [
-            MethodSpec("BLAST", "BLAST", FEATURES_BLAST, 10),
-            MethodSpec("BCl", "BCl", FEATURES_21, 10),
+    """``tables._spark_grid``, the one Spark grid runner of Tables 5/7 and
+    Section 5.5 (AbtBuy artifacts are shared with tests/test_jobs.py)."""
+
+    def test_grid_shape_and_columns(self, spark):
+        specs = [MethodSpec("BLAST", "BLAST", FEATURES_BLAST, 10), BCL]
+        grid = _spark_grid(spark, ["AbtBuy"], specs, [1, 2])
+        assert list(grid.columns) == [
+            "dataset", "method", "n_candidates", "recall", "precision", "f1", "rt_s"
         ]
-        grid = evaluate_grid(tiny_arts, specs, seeds=[1, 2])
-        assert len(grid) == 4
-        assert set(grid["method"]) == {"BLAST", "BCl"}
+        assert list(grid["method"]) == ["BLAST", "BCl"]
         assert grid["recall"].between(0, 1).all()
         assert (grid["rt_s"] > 0).all()
 
-    def test_summarize_means_over_seeds(self, tiny_arts):
-        specs = [MethodSpec("BCl", "BCl", FEATURES_21, 10)]
-        grid = evaluate_grid(tiny_arts, specs, seeds=[1, 2, 3])
-        s = summarize(grid)
-        assert len(s) == 1
-        assert s.loc[0, "recall"] == pytest.approx(grid["recall"].mean())
+    def test_summarize_means_over_seeds(self, spark):
+        grid = _spark_grid(spark, ["AbtBuy"], [BCL], [1, 2])
+        single = [_spark_grid(spark, ["AbtBuy"], [BCL], [s]) for s in (1, 2)]
+        assert len(grid) == 1
+        for col in ("recall", "precision", "f1"):
+            want = (single[0].loc[0, col] + single[1].loc[0, col]) / 2
+            assert grid.loc[0, col] == pytest.approx(want)
 
 
 class TestToMarkdown:

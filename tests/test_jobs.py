@@ -65,3 +65,18 @@ class TestHarnessSmoke:
         a = get_artifacts(spark, "AbtBuy")
         b = get_artifacts(spark, "AbtBuy")
         assert a is b
+
+
+class TestSandboxSession:
+    def test_spark_fixture_has_the_sandbox_config(self, spark):
+        """The one sandbox config (``jobs._common.get_session``) is what the
+        test session runs with."""
+        conf = spark.sparkContext.getConf()
+        assert spark.conf.get("spark.sql.shuffle.partitions") == "8"
+        assert spark.conf.get("spark.sql.adaptive.enabled") == "false"
+        assert spark.conf.get("spark.sql.autoBroadcastJoinThreshold") == "-1"
+        assert spark.conf.get("spark.sql.execution.arrow.pyspark.enabled") == "true"
+        assert conf.get("spark.driver.maxResultSize") == "4g"
+        assert conf.get("spark.ui.enabled") == "false"
+        log4j = spark.sparkContext._jvm.org.apache.logging.log4j.LogManager
+        assert str(log4j.getRootLogger().getLevel()) == "ERROR"

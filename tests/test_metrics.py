@@ -1,9 +1,10 @@
 """Tests for effectiveness metrics (Spark and local twin)."""
+import numpy as np
 import pandas as pd
 import pytest
 
+from repro.core.fast_local import LocalContext
 from repro.eval.metrics import Effectiveness, effectiveness
-from repro.core.local_engine import effectiveness_local
 
 GT = pd.DataFrame({"id1": [1, 2, 3, 4], "id2": [11, 12, 13, 14]})
 PAIRS = pd.DataFrame({"id1": [1, 2, 5, 6], "id2": [11, 12, 15, 16]})
@@ -49,7 +50,7 @@ class TestSpark:
 class TestLocalTwin:
     def test_matches_spark(self, spark):
         s = effectiveness(spark.createDataFrame(PAIRS), spark.createDataFrame(GT))
-        l = effectiveness_local(PAIRS, GT)
+        l = LocalContext(PAIRS, GT).evaluate(np.ones(len(PAIRS), dtype=bool))
         assert (s.n_pairs, s.n_matches_found, s.n_matches_total) == (
             l.n_pairs, l.n_matches_found, l.n_matches_total,
         )

@@ -1,19 +1,18 @@
 """Integration tests: full GSM pipeline on a small synthetic Clean-Clean
-task, Spark-vs-local-engine end-to-end equivalence, and the qualitative
-behaviours the paper's evaluation rests on."""
+task, Spark-vs-local-engine end-to-end equivalence on Clean-Clean and Dirty
+tasks, and the qualitative behaviours the paper's evaluation rests on."""
 import pytest
 
+from repro.core.fast_local import LocalContext
 from repro.core.pipeline import (
     FEATURES_21,
     FEATURES_BLAST,
-    FEATURES_RCNP,
     PRUNERS,
     prepare_dataset,
     resolve_n_train,
     run_method,
 )
-from repro.core.local_engine import run_method_local
-from repro.er_data.generator import ERConfig, clean_clean, to_spark
+from repro.er_data.generator import ERConfig, clean_clean, dirty, to_spark
 from repro.features.schemes import columns_for
 
 
@@ -27,14 +26,31 @@ def arts(spark):
     )
 
 
-@pytest.fixture(scope="module")
-def results(arts):
+def _run_all(arts):
     return {
         algo: run_method(
             arts, algo, feature_set=FEATURES_21, n_train_per_class=20, seed=3
         )
         for algo in PRUNERS
     }
+
+
+@pytest.fixture(scope="module")
+def results(arts):
+    return _run_all(arts)
+
+
+@pytest.fixture(scope="module")
+def dirty_arts(spark):
+    ent, gt = dirty(ERConfig(n_matches=40, n_only1=40, vocab_size=600, seed=1))
+    return prepare_dataset(
+        spark, "it-dirty", to_spark(spark, ent), to_spark(spark, gt), "dirty"
+    )
+
+
+@pytest.fixture(scope="module")
+def dirty_results(dirty_arts):
+    return _run_all(dirty_arts)
 
 
 class TestPrepare:
@@ -95,22 +111,24 @@ class TestRunAllAlgorithms:
 
 
 class TestEngineEquivalence:
-    """The pandas sweep engine must reproduce the Spark pipeline exactly:
-    same sampler, same classifier, same pruning semantics."""
+    """The NumPy sweep engine must reproduce the Spark pipeline exactly on
+    both ER tasks: same sampler, same classifier, same pruning semantics."""
 
-    @pytest.mark.parametrize("algo", PRUNERS)
-    def test_end_to_end_equal(self, arts, algo):
-        spark_res = run_method(
-            arts, algo, feature_set=FEATURES_RCNP, n_train_per_class=15, seed=5
-        )
-        local_eff = run_method_local(
-            arts.features_pdf,
-            arts.gt_pdf,
+    @staticmethod
+    def _local(arts, algo):
+        return LocalContext(arts.features_pdf, arts.gt_pdf).run(
             algo,
-            columns_for(FEATURES_RCNP),
-            n_train_per_class=15,
-            seed=5,
+            columns_for(FEATURES_21),
+            n_train_per_class=20,
+            seed=3,
             K=arts.cep_K,
             k=arts.cnp_k,
         )
-        assert spark_res.eff == local_eff
+
+    @pytest.mark.parametrize("algo", PRUNERS)
+    def test_end_to_end_equal(self, arts, results, algo):
+        assert self._local(arts, algo) == results[algo].eff
+
+    @pytest.mark.parametrize("algo", PRUNERS)
+    def test_dirty_end_to_end_equal(self, dirty_arts, dirty_results, algo):
+        assert self._local(dirty_arts, algo) == dirty_results[algo].eff

@@ -1,20 +1,21 @@
-"""Pruning-algorithm tests: hand-computed retention on a crafted scored
-graph, Spark vs pandas local-engine equivalence on the same input, and the
-set-algebra relations between algorithms.
+"""Pruning-algorithm tests: hand-computed retention on crafted scored
+graphs, asserted on both the Spark pruners and the local engine
+(``LocalContext.prune``), and the set-algebra relations between algorithms.
 
-Fixture graph (id1 in {1,2,3}, id2 in {11,12,13}):
+Clean-Clean fixture graph (id1 in {1,2,3}, id2 in {11,12,13}):
 
     (1,11,.90) (1,12,.60) (2,11,.70) (2,12,.40) (3,12,.55) (3,13,.80) (1,13,.30)
 
 Valid pairs (p>=0.5): five; global mean .71. Hand-derived results per
-algorithm are in the EXPECTED table below (arithmetic in test_pruning
-docstrings of each case).
+algorithm are in the EXPECTED table below (arithmetic in the comments of
+each case). The Dirty fixture (DIRTY_SCORED) shares ids between the two
+endpoint columns.
 """
 import pandas as pd
 import pytest
 
 from repro.core import bcl, blast, cep, cnp, rcnp, rwnp, wep, wnp
-from repro.core.local_engine import prune_local
+from repro.core.fast_local import LocalContext
 
 SCORED = pd.DataFrame(
     [
@@ -63,6 +64,35 @@ _LOCAL_NAME = {
     "BLAST_r05": "BLAST", "CEP_all": "CEP", "CNP_k2": "CNP", "RCNP_k2": "RCNP",
 }
 
+#: Dirty ER: one id space, so entities 2, 3 and 4 are id1 of some pairs and
+#: id2 of others; (1,4) is invalid.
+DIRTY_SCORED = pd.DataFrame(
+    [
+        (1, 2, 0.90),
+        (2, 3, 0.80),
+        (3, 4, 0.70),
+        (1, 3, 0.60),
+        (2, 4, 0.55),
+        (4, 5, 0.95),
+        (1, 4, 0.30),
+    ],
+    columns=["id1", "id2", "p"],
+)
+
+#: Each entity ranks its whole neighbourhood by (p desc, id1, id2):
+#: e1: (1,2) (1,3)   e2: (1,2) (2,3) (2,4)   e3: (2,3) (3,4) (1,3)
+#: e4: (4,5) (3,4) (2,4)   e5: (4,5)
+#: Ranking per endpoint column instead would keep (3,4) at k=1 (top of
+#: id1=3 and of id2=4) and every valid pair at k=2.
+DIRTY_EXPECTED = {
+    # top-1 lists: e1 (1,2), e2 (1,2), e3 (2,3), e4 (4,5), e5 (4,5)
+    "CNP": ({"k": 1}, {(1, 2), (2, 3), (4, 5)}),
+    "RCNP": ({"k": 1}, {(1, 2), (4, 5)}),
+    # (2,4) is in no top-2 list; (1,3) is in e1's but not e3's
+    "CNP_k2": ({"k": 2}, {(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)}),
+    "RCNP_k2": ({"k": 2}, {(1, 2), (2, 3), (3, 4), (4, 5)}),
+}
+
 
 @pytest.fixture(scope="module")
 def scored_sdf(spark):
@@ -71,6 +101,13 @@ def scored_sdf(spark):
 
 def _pairs(df) -> set:
     return {(r["id1"], r["id2"]) for r in df.collect()}
+
+
+def _local_pairs(scored: pd.DataFrame, algorithm: str, **kw) -> set:
+    """Pairs ``LocalContext.prune`` keeps from a scored ``(id1, id2, p)``."""
+    ctx = LocalContext(scored, scored.iloc[:0])
+    keep = ctx.prune(ctx.X[:, 0], algorithm, **kw)
+    return set(zip(ctx.id1[keep].tolist(), ctx.id2[keep].tolist()))
 
 
 class TestSparkPruning:
@@ -111,15 +148,26 @@ class TestLocalEngineEquivalence:
     @pytest.mark.parametrize("case", list(EXPECTED))
     def test_local_matches_spark_semantics(self, case):
         kwargs, want = EXPECTED[case]
-        algo = _LOCAL_NAME.get(case, case)
-        got = set(
-            prune_local(SCORED, algo, **kwargs)[["id1", "id2"]].apply(tuple, axis=1)
-        )
-        assert got == want
+        assert _local_pairs(SCORED, _LOCAL_NAME.get(case, case), **kwargs) == want
 
     def test_local_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            prune_local(SCORED, "NOPE")
+            _local_pairs(SCORED, "NOPE")
+
+
+class TestDirtyNeighbourhoodRanking:
+    """CNP/RCNP rank each entity over both endpoint roles, on both engines."""
+
+    @pytest.mark.parametrize("case", list(DIRTY_EXPECTED))
+    def test_spark(self, spark, case):
+        kwargs, want = DIRTY_EXPECTED[case]
+        fn = _SPARK_FNS[case]
+        assert _pairs(fn(spark.createDataFrame(DIRTY_SCORED), **kwargs)) == want
+
+    @pytest.mark.parametrize("case", list(DIRTY_EXPECTED))
+    def test_local(self, case):
+        kwargs, want = DIRTY_EXPECTED[case]
+        assert _local_pairs(DIRTY_SCORED, _LOCAL_NAME.get(case, case), **kwargs) == want
 
 
 class TestAlgorithmRelations:
