@@ -72,3 +72,13 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(params=[1, 7, 64])
+def shuffle_partitions(spark, request):
+    """Run a test at several ``spark.sql.shuffle.partitions``; the session's
+    own value is restored afterwards."""
+    old = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", request.param)
+    yield request.param
+    spark.conf.set("spark.sql.shuffle.partitions", old)

@@ -4,11 +4,12 @@
 and finally restricts the collection to *comparison-bearing* blocks (>= 1
 candidate pair; for Clean-Clean that needs both sources present). All block
 statistics downstream (|B|, ||B||, sum of |b|) are over this collection
-(DESIGN.md §3).
+(DESIGN.md §3). Every per-token or per-entity statistic of these stages is a
+window over the key, tested in place: no stage aggregates and joins back.
 """
 from dataclasses import dataclass
 
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 from repro.blocking.token_blocking import token_blocking
@@ -27,24 +28,14 @@ class BlockCollection:
 
 def _comparison_bearing(assignments: DataFrame, task: str) -> DataFrame:
     """Keep only blocks that generate at least one comparison."""
+    block = Window.partitionBy("token")
     if task == "clean":
-        ok = (
-            assignments.groupBy("token")
-            .agg(
-                F.sum(F.when(F.col("source") == 1, 1).otherwise(0)).alias("n1"),
-                F.sum(F.when(F.col("source") == 2, 1).otherwise(0)).alias("n2"),
-            )
-            .filter((F.col("n1") > 0) & (F.col("n2") > 0))
-            .select("token")
-        )
+        n1 = F.sum(F.when(F.col("source") == 1, 1).otherwise(0)).over(block)
+        n2 = F.sum(F.when(F.col("source") == 2, 1).otherwise(0)).over(block)
+        ok = (n1 > 0) & (n2 > 0)
     else:
-        ok = (
-            assignments.groupBy("token")
-            .agg(F.count("*").alias("n"))
-            .filter(F.col("n") >= 2)
-            .select("token")
-        )
-    return assignments.join(ok, "token", "inner").select(
+        ok = F.count("*").over(block) >= 2
+    return assignments.withColumn("_ok", ok).filter("_ok").select(
         "token", "entity_id", "source"
     )
 

@@ -2,9 +2,10 @@
 
 Parameter-free (paper Section 5.1): a block whose size exceeds
 ``n_entities / 2`` corresponds to a stop-word-like signature with no
-distinguishing power and is removed wholesale.
+distinguishing power and is removed wholesale. The block size is a count
+over a window on the token, so each assignment is tested in place.
 """
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 
@@ -14,8 +15,8 @@ def block_purging(assignments: DataFrame, n_entities: int) -> DataFrame:
     ``n_entities`` is the total number of input profiles (|E1|+|E2| for
     Clean-Clean, |E| for Dirty).
     """
-    sizes = assignments.groupBy("token").agg(F.count("*").alias("_block_size"))
-    keep = sizes.filter(F.col("_block_size") <= n_entities / 2).select("token")
-    return assignments.join(keep, "token", "inner").select(
-        "token", "entity_id", "source"
+    return (
+        assignments.withColumn("_block_size", F.count("*").over(Window.partitionBy("token")))
+        .filter(F.col("_block_size") <= n_entities / 2)
+        .select("token", "entity_id", "source")
     )

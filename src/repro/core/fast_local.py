@@ -84,18 +84,6 @@ class LocalContext:
             if not valid.any():
                 return valid
             return valid & (p >= p[valid].mean())
-        if algorithm in ("WNP", "RWNP"):
-            sums = np.zeros(self.n_entities)
-            cnts = np.zeros(self.n_entities)
-            np.add.at(sums, self.c1[valid], p[valid])
-            np.add.at(cnts, self.c1[valid], 1.0)
-            np.add.at(sums, self.c2[valid], p[valid])
-            np.add.at(cnts, self.c2[valid], 1.0)
-            means = np.divide(sums, cnts, out=np.zeros_like(sums), where=cnts > 0)
-            b1 = p >= means[self.c1]
-            b2 = p >= means[self.c2]
-            comb = (b1 & b2) if algorithm == "RWNP" else (b1 | b2)
-            return valid & comb
         if algorithm == "BLAST":
             mx = np.zeros(self.n_entities)
             np.maximum.at(mx, self.c1[valid], p[valid])
@@ -109,17 +97,24 @@ class LocalContext:
             keep = np.zeros_like(valid)
             keep[vi[order[: int(K)]]] = True
             return keep
-        if algorithm in ("CNP", "RCNP"):
+        if algorithm in ("WNP", "RWNP", "CNP", "RCNP"):
             vi = np.flatnonzero(valid)
             order = np.lexsort((self.id2[vi], self.id1[vi], -p[vi]))
             ranked = vi[order]  # pair indices in global quality order
-            # Rank each entity over both endpoint roles (its whole
-            # neighbourhood): on Dirty ER an entity is id1 of some pairs and
-            # id2 of others. Interleaving keeps the global order per entity.
+            # Each entity's neighbourhood spans both endpoint roles: on Dirty
+            # ER an entity is id1 of some pairs and id2 of others.
+            # Interleaving keeps the global order per entity, so CNP ranks
+            # and WNP sums each neighbourhood in (p desc, id1, id2) order, as
+            # the Spark window does (DESIGN.md §3).
             ends = np.stack([self.c1[ranked], self.c2[ranked]], 1).ravel()
-            top = (_group_cumcount(ends) < int(k)).reshape(-1, 2)
-            in1, in2 = top[:, 0], top[:, 1]
-            comb = (in1 & in2) if algorithm == "RCNP" else (in1 | in2)
+            if algorithm in ("CNP", "RCNP"):
+                top = _group_cumcount(ends) < int(k)
+            else:
+                pe = np.repeat(p[ranked], 2)
+                sums = np.bincount(ends, weights=pe, minlength=self.n_entities)
+                top = pe >= sums[ends] / np.bincount(ends, minlength=self.n_entities)[ends]
+            in1, in2 = top.reshape(-1, 2).T
+            comb = (in1 & in2) if algorithm in ("RWNP", "RCNP") else (in1 | in2)
             keep = np.zeros_like(valid)
             keep[ranked[comb]] = True
             return keep

@@ -10,10 +10,10 @@
 The paper's priority queues are tie-order dependent; we make results
 deterministic by ranking on ``(p desc, id1, id2)`` (DESIGN.md §3).
 """
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.prune_weight import _valid
+from repro.core.prune_weight import _endpoints, _neighbourhood, _valid
 
 
 def cep(scored: DataFrame, *, K: int) -> DataFrame:
@@ -30,24 +30,14 @@ def _topk_membership(scored: DataFrame, k: int) -> DataFrame:
     """``(id1, id2, in1, in2)``: membership of each valid pair in the per-
     entity top-k list of its two endpoints. Pairs in neither list are
     absent from the output (they can satisfy neither CNP nor RCNP)."""
-    valid = _valid(scored)
-    exploded = valid.select(
-        F.col("id1").alias("entity_id"), "id1", "id2", "p", F.lit(1).alias("side")
-    ).unionAll(
-        valid.select(
-            F.col("id2").alias("entity_id"), "id1", "id2", "p", F.lit(2).alias("side")
-        )
-    )
-    w = Window.partitionBy("entity_id").orderBy(
-        F.col("p").desc(), F.col("id1").asc(), F.col("id2").asc()
-    )
     return (
-        exploded.withColumn("_rn", F.row_number().over(w))
+        _endpoints(_valid(scored))
+        .withColumn("_rn", F.row_number().over(_neighbourhood()))
         .filter(F.col("_rn") <= int(k))
         .groupBy("id1", "id2")
         .agg(
-            F.max(F.col("side") == 1).alias("in1"),
-            F.max(F.col("side") == 2).alias("in2"),
+            F.max(F.col("side") == 0).alias("in1"),
+            F.max(F.col("side") == 1).alias("in2"),
         )
     )
 

@@ -11,10 +11,13 @@ algorithm then applies its weight threshold over the valid pairs:
 - BLAST — keep pairs with p >= r * (max_i + max_j) using per-entity maxima
   (Alg. 3, r = 0.35 in the paper's experiments).
 
-Per-entity aggregates are computed by exploding each pair into its two
-endpoints and grouping — pure DataFrame algebra, no UDFs.
+The node rules (WNP, RWNP, BLAST here; CNP, RCNP in ``prune_cardinality``)
+share one shape: explode each valid pair to its two endpoints
+(``_endpoints``), compute the entity's statistic over a window on its
+neighbourhood, then regroup by ``(id1, id2)`` — pure DataFrame algebra, no
+joins, no UDFs.
 """
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, Window, WindowSpec
 from pyspark.sql import functions as F
 
 def _valid(scored: DataFrame) -> DataFrame:
@@ -22,12 +25,20 @@ def _valid(scored: DataFrame) -> DataFrame:
     return scored.filter(F.col("p") >= 0.5)
 
 
-def _per_entity(valid: DataFrame, agg: F.Column, name: str) -> DataFrame:
-    """Aggregate valid probabilities per endpoint entity."""
-    exploded = valid.select(F.col("id1").alias("entity_id"), "p").unionAll(
-        valid.select(F.col("id2").alias("entity_id"), "p")
+def _endpoints(valid: DataFrame) -> DataFrame:
+    """``(id1, id2, p, side, entity_id)``: one row per endpoint of each valid
+    pair; ``side`` is 0 for the ``id1`` end and 1 for the ``id2`` end."""
+    return valid.select(
+        "id1", "id2", "p", F.posexplode(F.array("id1", "id2")).alias("side", "entity_id")
     )
-    return exploded.groupBy("entity_id").agg(agg.alias(name))
+
+
+def _neighbourhood() -> WindowSpec:
+    """An entity's endpoint rows in the canonical ``(p desc, id1, id2)`` order:
+    CNP ranks them in it, WNP sums them in it (DESIGN.md §3)."""
+    return Window.partitionBy("entity_id").orderBy(
+        F.col("p").desc(), F.col("id1").asc(), F.col("id2").asc()
+    )
 
 
 def bcl(scored: DataFrame) -> DataFrame:
@@ -45,18 +56,16 @@ def wep(scored: DataFrame) -> DataFrame:
 
 
 def _node_pruning(scored: DataFrame, *, reciprocal: bool) -> DataFrame:
-    valid = _valid(scored)
-    means = _per_entity(valid, F.avg("p"), "thr")
-    j = (
-        valid.join(means.withColumnRenamed("entity_id", "id1"), "id1")
-        .withColumnRenamed("thr", "thr1")
-        .join(means.withColumnRenamed("entity_id", "id2"), "id2")
-        .withColumnRenamed("thr", "thr2")
+    whole = _neighbourhood().rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
+    either_or_both = F.min if reciprocal else F.max
+    return (
+        _endpoints(_valid(scored))
+        .withColumn("_beats", F.col("p") >= F.avg("p").over(whole))
+        .groupBy("id1", "id2")
+        .agg(either_or_both("_beats").alias("_keep"))
+        .filter("_keep")
+        .select("id1", "id2")
     )
-    beats1 = F.col("p") >= F.col("thr1")
-    beats2 = F.col("p") >= F.col("thr2")
-    cond = (beats1 & beats2) if reciprocal else (beats1 | beats2)
-    return j.filter(cond).select("id1", "id2")
 
 
 def wnp(scored: DataFrame) -> DataFrame:
@@ -71,14 +80,12 @@ def rwnp(scored: DataFrame) -> DataFrame:
 
 def blast(scored: DataFrame, *, r: float = 0.35) -> DataFrame:
     """Supervised BLAST (Algorithm 3): p >= r * (max_i + max_j)."""
-    valid = _valid(scored)
-    maxima = _per_entity(valid, F.max("p"), "mx")
-    j = (
-        valid.join(maxima.withColumnRenamed("entity_id", "id1"), "id1")
-        .withColumnRenamed("mx", "mx1")
-        .join(maxima.withColumnRenamed("entity_id", "id2"), "id2")
-        .withColumnRenamed("mx", "mx2")
+    mx = F.max("p").over(Window.partitionBy("entity_id"))
+    return (
+        _endpoints(_valid(scored))
+        .withColumn("_mx", mx)
+        .groupBy("id1", "id2", "p")
+        .agg(F.sum("_mx").alias("_mx12"))
+        .filter(F.col("p") >= F.lit(float(r)) * F.col("_mx12"))
+        .select("id1", "id2")
     )
-    return j.filter(
-        F.col("p") >= F.lit(float(r)) * (F.col("mx1") + F.col("mx2"))
-    ).select("id1", "id2")

@@ -53,7 +53,7 @@ def sweep_dataset(
 
     Returns columns: ``fid, features, recall, precision, f1``. Runs on the
     vectorised ``LocalContext`` engine (equivalence-tested against the
-    pandas reference and the Spark pipeline).
+    Spark pruners and the Spark pipeline).
     """
     ctx = context if context is not None else LocalContext(features, gt)
     rows = []

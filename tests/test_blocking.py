@@ -248,3 +248,12 @@ class TestBuildBlocks:
             .toPandas()
         )
         assert (per_block["ns"] == 2).all()
+
+    @pytest.mark.parametrize("task", ["clean", "dirty"])
+    def test_plan_has_no_join(self, spark, task):
+        """Every blocking statistic is a window over its key, tested in
+        place: no stage aggregates and joins the result back."""
+        ent, _ = clean_clean(ERConfig(n_matches=10, n_only1=3, n_only2=3, seed=5))
+        coll = build_blocks(to_spark(spark, ent), task)
+        plan = coll.assignments._jdf.queryExecution().executedPlan().toString()
+        assert "Join" not in plan

@@ -41,6 +41,18 @@ class TestGroupCumcount:
         assert len(_group_cumcount(np.array([], dtype=int))) == 0
 
 
+def _both_engines(spark, ctx, p, algo, K, k):
+    """Pairs ``LocalContext.prune`` and the Spark pruner keep from ``p``."""
+    keep = ctx.prune(p, algo, K=K, k=k)
+    scored = spark.createDataFrame(
+        pd.DataFrame({"id1": ctx.id1, "id2": ctx.id2, "p": p})
+    )
+    kw = {"CEP": {"K": K}, "CNP": {"k": k}, "RCNP": {"k": k}}.get(algo, {})
+    ref = getattr(repro.core, algo.lower())(scored, **kw).collect()
+    local = set(zip(ctx.id1[keep].tolist(), ctx.id2[keep].tolist()))
+    return local, {(r["id1"], r["id2"]) for r in ref}
+
+
 class TestContextEquivalence:
     @pytest.mark.parametrize("algo", PRUNERS)
     @pytest.mark.parametrize("seed", [0, 3])
@@ -49,18 +61,19 @@ class TestContextEquivalence:
         ``LocalContext.score`` computed; the retained pair sets must match."""
         pdf, gt, gstats = dataset
         ctx = LocalContext(pdf, gt)
-        cols = columns_for(("CF-IBF", "RACCB", "JS", "LCP"))
-        K, k = gstats.sum_block_sizes // 2, 3
-        p = ctx.score(cols, 15, seed)
-        keep = ctx.prune(p, algo, K=K, k=k)
-        scored = spark.createDataFrame(
-            pd.DataFrame({"id1": ctx.id1, "id2": ctx.id2, "p": p})
-        )
-        kw = {"CEP": {"K": K}, "CNP": {"k": k}, "RCNP": {"k": k}}.get(algo, {})
-        ref = getattr(repro.core, algo.lower())(scored, **kw).collect()
-        assert set(zip(ctx.id1[keep].tolist(), ctx.id2[keep].tolist())) == {
-            (r["id1"], r["id2"]) for r in ref
-        }
+        p = ctx.score(columns_for(("CF-IBF", "RACCB", "JS", "LCP")), 15, seed)
+        local, ref = _both_engines(spark, ctx, p, algo, gstats.sum_block_sizes // 2, 3)
+        assert local == ref
+
+    def test_partition_count_invariant(self, spark, dataset, shuffle_partitions):
+        """Every rule keeps the same set on both engines whatever the
+        shuffle-partition count."""
+        pdf, gt, gstats = dataset
+        ctx = LocalContext(pdf, gt)
+        p = ctx.score(columns_for(("CF-IBF", "RACCB", "RS", "NRS")), 15, 1)
+        for algo in PRUNERS:
+            local, ref = _both_engines(spark, ctx, p, algo, gstats.sum_block_sizes // 2, 3)
+            assert local == ref, algo
 
     def test_sampler_identical_to_shared_sampler(self, dataset):
         from repro.classifier.training import sample_balanced

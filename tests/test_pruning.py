@@ -84,7 +84,21 @@ DIRTY_SCORED = pd.DataFrame(
 #: e4: (4,5) (3,4) (2,4)   e5: (4,5)
 #: Ranking per endpoint column instead would keep (3,4) at k=1 (top of
 #: id1=3 and of id2=4) and every valid pair at k=2.
+#:
+#: Node means, summed in that order: e1 .75, e2 .75, e3 .7000000000000001,
+#: e4 .7333, e5 .95. Entity 3 is a float tie: .8 + .7 + .6 gives a mean of
+#: .7000000000000001 in this order but .6999999999999998 in others, so
+#: (3, 4) at p = .7 beats e3's mean only under some summation orders. Both
+#: engines sum in the canonical order, so WNP drops (3, 4) under any
+#: partitioning. Maxima: e1 .9, e2 .9, e3 .8, e4 .95, e5 .95.
 DIRTY_EXPECTED = {
+    # (1,2) beats both .75s, (2,3) e2's .75 and e3's .7000000000000001,
+    # (4,5) e4's .7333 and e5's .95; (3,4), (1,3) and (2,4) beat neither mean
+    "WNP": ({}, {(1, 2), (2, 3), (4, 5)}),
+    "RWNP": ({}, {(1, 2), (2, 3), (4, 5)}),
+    # r=.35 thresholds: (1,2) .63 (2,3) .595 (3,4) .6125 (1,3) .595
+    # (2,4) .6475 > .55 (4,5) .665
+    "BLAST": ({"r": 0.35}, {(1, 2), (1, 3), (2, 3), (3, 4), (4, 5)}),
     # top-1 lists: e1 (1,2), e2 (1,2), e3 (2,3), e4 (4,5), e5 (4,5)
     "CNP": ({"k": 1}, {(1, 2), (2, 3), (4, 5)}),
     "RCNP": ({"k": 1}, {(1, 2), (4, 5)}),
@@ -156,7 +170,8 @@ class TestLocalEngineEquivalence:
 
 
 class TestDirtyNeighbourhoodRanking:
-    """CNP/RCNP rank each entity over both endpoint roles, on both engines."""
+    """The node rules see each entity's whole neighbourhood (both endpoint
+    roles), on both engines."""
 
     @pytest.mark.parametrize("case", list(DIRTY_EXPECTED))
     def test_spark(self, spark, case):
@@ -168,6 +183,29 @@ class TestDirtyNeighbourhoodRanking:
     def test_local(self, case):
         kwargs, want = DIRTY_EXPECTED[case]
         assert _local_pairs(DIRTY_SCORED, _LOCAL_NAME.get(case, case), **kwargs) == want
+
+
+class TestPartitionInvariance:
+    """Every node rule keeps its hand-computed set whatever the partitioning
+    of its input and of its shuffles."""
+
+    @pytest.mark.parametrize("n_input", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "graph, expected", [(SCORED, EXPECTED), (DIRTY_SCORED, DIRTY_EXPECTED)],
+        ids=["clean", "dirty"],
+    )
+    def test_node_rules(self, spark, shuffle_partitions, graph, expected, n_input):
+        sdf = spark.createDataFrame(graph).repartition(n_input)
+        for case in ("WNP", "RWNP", "BLAST", "CNP", "RCNP"):
+            kwargs, want = expected[case]
+            assert _pairs(_SPARK_FNS[case](sdf, **kwargs)) == want, case
+
+    def test_node_rules_plan_has_no_join(self, scored_sdf):
+        """Per-entity statistics are windows regrouped by pair, never
+        aggregates joined back."""
+        for fn in (wnp, rwnp, blast):
+            plan = fn(scored_sdf)._jdf.queryExecution().executedPlan().toString()
+            assert "Join" not in plan, fn.__name__
 
 
 class TestAlgorithmRelations:
