@@ -1,20 +1,48 @@
-"""Shared plumbing for the spark-submit job entrypoints.
+"""The one definition of the sandbox Spark config.
 
-Each ``jobs/<name>.py`` wraps one function from ``repro.eval.tables``:
-``run_job`` builds a local session with ``get_session``, runs the experiment,
-prints the table as markdown and writes it under ``results/``.
-``get_session`` is the one definition of the sandbox Spark config: the root
-conftest's ``spark`` fixture builds its session here too, and under pytest
-jobs never create a second session because ``getOrCreate`` returns the
-active one.
+``get_session`` builds the local session for ``jobs/run.py`` (which
+regenerates ``results/``); the root conftest's ``spark`` fixture and the
+benchmark build theirs here too, and under pytest a second call returns the
+active session because ``getOrCreate`` does.
 """
 import os
-import pathlib
-from typing import Callable
 
 from pyspark.sql import SparkSession
 
-from repro.eval.harness import to_markdown  # noqa: F401  (re-exported)
+
+def _driver_mem() -> str:
+    """~75% of the container's memory limit, for the Spark driver JVM.
+
+    Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
+    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
+    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before the first
+    session starts the JVM — ``get_session`` puts it there before
+    ``getOrCreate``.
+
+    The cgroup read is best-effort: the sandbox runs under gVisor, whose
+    sysfs emulation may not pass the host limit through. An unbounded
+    value (cgroup-v1's ~9.2e18 "unlimited" sentinel, or a missing limit)
+    is treated as absent so the JVM is never handed an impossible heap.
+    """
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m
+    for p in (
+        "/sys/fs/cgroup/memory.max",
+        "/sys/fs/cgroup/memory/memory.limit_in_bytes",
+    ):
+        try:
+            raw = open(p).read().strip()
+            if not raw or raw == "max":
+                continue
+            gib = int(raw) / (1 << 30)
+            if not (1 <= gib <= 1024):  # v1 "unlimited" → ~8.6e9 GiB
+                continue
+            os.environ["_SPARK_DRIVER_MEM_SRC"] = f"cgroup:{p}={raw}"
+            return f"{max(1, int(gib * 0.75))}g"
+        except (OSError, ValueError):
+            continue
+    os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
+    return "48g"
 
 
 def get_session(app: str) -> SparkSession:
@@ -33,10 +61,15 @@ def get_session(app: str) -> SparkSession:
 
     Master and driver memory must be fixed before the JVM launches, so they
     come from ``PYSPARK_SUBMIT_ARGS``; it is filled in here only when unset
-    (the root conftest and the benchmark set their own).
+    (the benchmark sets its own), from ``SPARK_MASTER`` (default
+    ``local[*]``) and ``SPARK_DRIVER_MEM`` (default ``_driver_mem()``).
     """
+    os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
     os.environ.setdefault(
-        "PYSPARK_SUBMIT_ARGS", "--master local[*] --driver-memory 16g pyspark-shell"
+        "PYSPARK_SUBMIT_ARGS",
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {os.environ['SPARK_DRIVER_MEM']} "
+        "pyspark-shell",
     )
     spark = (
         SparkSession.builder.appName(app)
@@ -52,13 +85,3 @@ def get_session(app: str) -> SparkSession:
     )
     spark.sparkContext.setLogLevel("ERROR")
     return spark
-
-
-def run_job(name: str, render: Callable[[SparkSession], str]) -> None:
-    """Print the markdown ``render`` builds and write it to ``results/<name>.md``."""
-    md = render(get_session(name))
-    print(md)
-    out = pathlib.Path(__file__).resolve().parent.parent / "results" / f"{name}.md"
-    out.parent.mkdir(exist_ok=True)
-    out.write_text(md + "\n")
-    print(f"wrote {out}")

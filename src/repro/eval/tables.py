@@ -2,8 +2,9 @@
 
 Each ``table*``/``section*`` function takes the SparkSession (plus knobs),
 runs the experiment on the synthetic analogs and returns a tidy pandas frame
-whose rows mirror the paper's table. ``jobs/<name>.py`` wraps each for
-spark-submit; ``benchmarks/bench_<name>.py`` times each and prints the rows.
+whose rows mirror the paper's table. ``RESULTS`` maps each committed
+``results/<name>.md`` to the calls that produce it; ``python jobs/run.py
+<name>`` regenerates it.
 
 Engine choice per experiment (DESIGN.md §5): tables that report run-times
 (5, 6, 7, scalability) execute the Spark pipeline; pure-effectiveness sweeps
@@ -16,7 +17,7 @@ EXPERIMENTS.md can print paper-vs-measured side by side.
 """
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Callable, Iterable
 
 import pandas as pd
 from pyspark.sql import SparkSession
@@ -497,3 +498,22 @@ def section55(
         for _, r in df.iterrows()
     ]
     return df
+
+
+# --------------------------------------------------------------------------
+# Registry — the one producer of each committed results/<name>.md
+# --------------------------------------------------------------------------
+#: Keyed by the stem of the results file; each entry runs its harnesses with
+#: their defaults and returns the frames in the order the file shows them.
+RESULTS: dict[str, Callable[[SparkSession], list[pd.DataFrame]]] = {
+    "table1": lambda spark: [table1(spark), table1b(spark)],
+    "table2": lambda spark: [table2(spark)],
+    "table3": lambda spark: [table3(spark)],
+    "table4": lambda spark: [table4(spark)],
+    "table5": lambda spark: [table5(spark)],
+    "table6": lambda spark: [table6(spark)],
+    "table7": lambda spark: [table7(spark)],
+    "section52": lambda spark: [section52(spark)],
+    "section54": lambda spark: [section54(spark)],
+    "section55": lambda spark: [section55(spark)],
+}

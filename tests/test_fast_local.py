@@ -56,7 +56,7 @@ def _both_engines(spark, ctx, p, algo, K, k):
 class TestContextEquivalence:
     @pytest.mark.parametrize("algo", PRUNERS)
     @pytest.mark.parametrize("seed", [0, 3])
-    def test_matches_pandas_reference(self, spark, dataset, algo, seed):
+    def test_matches_spark_pruners(self, spark, dataset, algo, seed):
         """Reference: the Spark pruner run on the probabilities
         ``LocalContext.score`` computed; the retained pair sets must match."""
         pdf, gt, gstats = dataset

@@ -1,37 +1,44 @@
-"""Smoke tests: every job entrypoint is importable and wired to a real
-harness function; the cheap harnesses run end-to-end on one analog."""
-import importlib.util
+"""Smoke tests: the results entrypoint ``jobs/run.py`` covers every committed
+table through the ``RESULTS`` registry and writes what it prints; the cheap
+harnesses run end-to-end on one analog."""
 import pathlib
 
+import pandas as pd
 import pytest
 
-JOBS_DIR = pathlib.Path(__file__).resolve().parent.parent / "jobs"
-JOB_NAMES = [
-    "table1_datasets",
-    "table2_blocks",
-    "table3_sweep_blast",
-    "table4_sweep_rcnp",
-    "table5_weight_final",
-    "table6_models",
-    "table7_cardinality_final",
-    "section52_algorithms",
-    "section54_training_size",
-    "section55_scalability",
-]
+from jobs import run
+from repro.eval.harness import to_markdown
+from repro.eval.tables import RESULTS
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, JOBS_DIR / f"{name}.py")
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
+RESULTS_DIR = pathlib.Path(__file__).resolve().parent.parent / "results"
 
 
 class TestJobModules:
-    @pytest.mark.parametrize("name", JOB_NAMES)
+    @pytest.mark.parametrize("name", list(RESULTS))
     def test_importable_with_main(self, name):
-        mod = _load(name)
-        assert callable(mod.main)
+        assert callable(run.main)
+        assert callable(RESULTS[name])
+
+    def test_registry_covers_committed_results(self):
+        assert set(RESULTS) == {p.stem for p in RESULTS_DIR.glob("*.md")}
+
+    def test_main_prints_and_writes_markdown(self, monkeypatch, tmp_path, capsys):
+        df = pd.DataFrame({"dataset": ["X"], "f1": [0.5]})
+        monkeypatch.setattr(run, "RESULTS", {"stub": lambda spark: [df]})
+        monkeypatch.setattr(run, "RESULTS_DIR", tmp_path)
+        monkeypatch.setattr(run, "get_session", lambda app: None)
+        run.main(["stub"])
+        assert (tmp_path / "stub.md").read_text() == to_markdown(df) + "\n"
+        assert capsys.readouterr().out.startswith(to_markdown(df) + "\n")
+
+    def test_unknown_name_exits_before_session(self, monkeypatch):
+        def no_session(app):
+            raise AssertionError("a session was built for an unknown name")
+
+        monkeypatch.setattr(run, "get_session", no_session)
+        with pytest.raises(SystemExit) as exc:
+            run.main(["table1", "no_such_table"])
+        assert exc.value.code not in (0, None)
 
 
 class TestHarnessSmoke:
