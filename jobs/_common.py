@@ -14,10 +14,11 @@ def _driver_mem() -> str:
     """~75% of the container's memory limit, for the Spark driver JVM.
 
     Precedence: SPARK_DRIVER_MEM env (explicit override) > cgroup v2/v1
-    limit > 48g fallback. spark.driver.memory is read at JVM launch, not
-    from SparkConf, so it must be in PYSPARK_SUBMIT_ARGS before the first
-    session starts the JVM — ``get_session`` puts it there before
-    ``getOrCreate``.
+    limit > half of MemTotal in whole GiB, clamped to [2, 8] (the rule of
+    the ROADMAP.md test command and ``perfbench/run.py::driver_memory``).
+    spark.driver.memory is read at JVM launch, not from SparkConf, so it
+    must be in PYSPARK_SUBMIT_ARGS before the first session starts the JVM
+    — ``get_session`` puts it there before ``getOrCreate``.
 
     The cgroup read is best-effort: the sandbox runs under gVisor, whose
     sysfs emulation may not pass the host limit through. An unbounded
@@ -42,7 +43,15 @@ def _driver_mem() -> str:
         except (OSError, ValueError):
             continue
     os.environ["_SPARK_DRIVER_MEM_SRC"] = "fallback"
-    return "48g"
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemTotal:"):
+                    half_gib = int(line.split()[1]) // 2097152  # kB
+                    return f"{min(8, max(2, half_gib))}g"
+    except (OSError, ValueError):
+        pass
+    return "2g"
 
 
 def get_session(app: str) -> SparkSession:
@@ -54,8 +63,10 @@ def get_session(app: str) -> SparkSession:
       pathologically slow under this sandbox's virtualisation (a cached
       2.4k-row scan takes ~20s with AQE vs ~0.3s without — measured, not
       guessed).
-    - Broadcast joins off, so the joins exercise the shuffle path; Arrow on
-      for the driver-side collects.
+    - Automatic broadcast joins off, and explicit ``F.broadcast`` hints go
+      only on O(|E|) or O(|D|) tables (the per-entity feature table, the
+      ground truth), never on one sized by the candidate set; Arrow on for
+      the driver-side collects.
     - ``spark.driver.maxResultSize`` 4g: preparing the biggest analogs
       collects a multi-million-row feature frame once per dataset.
 

@@ -83,9 +83,10 @@ def prepare_dataset(
     measure the input block collection's quality (paper Table 2)."""
     collection = build_blocks(entities, task)
     features, gstats = compute_features(collection)
-    # Few, larger partitions: every candidate set here is <= a few hundred
-    # thousand rows, where per-stage scheduling overhead dominates shuffles.
-    features = features.repartition(8).cache()
+    # Cached as computed: the frame keeps the (id1, id2) aggregation's
+    # spark.sql.shuffle.partitions partitions; the broadcast entity joins
+    # add no exchange, and a repartition would shuffle |C| rows again.
+    features = features.cache()
     features_pdf = features.toPandas()  # one job; also warms the cache
     gt = ground_truth.select("id1", "id2").cache()
     gt_pdf = gt.toPandas()

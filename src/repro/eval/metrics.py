@@ -6,9 +6,9 @@ F1 = harmonic mean. All against the known ground truth D.
 
 ``effectiveness`` is a single Spark aggregation: the ground truth (at most a
 few thousand rows) is broadcast-joined onto the pair set and both counts come
-out of one job. The session disables automatic broadcast joins to keep the
-meta-blocking dataflow on the shuffle path; this explicit hint on a tiny
-metrics-only dimension table is deliberate.
+out of one job. Broadcast policy: automatic broadcast joins stay off, and
+explicit hints go only on O(|E|) or O(|D|) tables, such as this ground truth
+and the per-entity feature table of ``features.schemes``.
 """
 from dataclasses import dataclass
 

@@ -50,7 +50,11 @@ def compute_features(
     """All eight schemes per candidate pair of ``collection``.
 
     Returns ``(features, gstats)``: ``features`` has ``id1, id2`` plus the
-    nine feature columns of :data:`FEATURE_COLUMNS`.
+    nine feature columns of :data:`FEATURE_COLUMNS`. The candidate set is
+    shuffled once, by the ``(id1, id2)`` aggregation; the per-entity table
+    (|E| rows, LCP included) is broadcast onto it as ``id1`` and as ``id2``,
+    so ``features`` keeps that aggregation's partitioning. LCP counts the
+    distinct pairs in a second run of the pair-block self-join.
     """
     assignments = collection.assignments
     blocks = block_stats(assignments, collection.task)
@@ -64,41 +68,34 @@ def compute_features(
         F.sum(1.0 / F.col("size")).alias("rs"),
     )
 
-    # LCP: distinct candidates per entity, from the candidate-pair relation.
-    cand = pair_agg.select("id1", "id2")
+    # LCP: distinct candidates per entity over both endpoint roles (a Dirty
+    # entity can be id1 of one pair and id2 of another).
     lcp = (
-        cand.select(F.col("id1").alias("entity_id"))
-        .unionAll(cand.select(F.col("id2").alias("entity_id")))
+        pair_agg.select(F.explode(F.array("id1", "id2")).alias("entity_id"))
         .groupBy("entity_id")
         .agg(F.count("*").alias("lcp"))
     )
+    ent = estats.join(lcp, "entity_id")
 
-    e1 = estats.select(
-        F.col("entity_id").alias("id1"),
-        F.col("n_blocks").alias("nb_1"),
-        F.col("sum_pair_card").alias("spc_1"),
-        F.col("sum_inv_pair_card").alias("sipc_1"),
-        F.col("sum_inv_size").alias("sis_1"),
-    )
-    e2 = estats.select(
-        F.col("entity_id").alias("id2"),
-        F.col("n_blocks").alias("nb_2"),
-        F.col("sum_pair_card").alias("spc_2"),
-        F.col("sum_inv_pair_card").alias("sipc_2"),
-        F.col("sum_inv_size").alias("sis_2"),
-    )
-    l1 = lcp.select(F.col("entity_id").alias("id1"), F.col("lcp").alias("lcp_1"))
-    l2 = lcp.select(F.col("entity_id").alias("id2"), F.col("lcp").alias("lcp_2"))
+    def endpoint(side: str) -> DataFrame:
+        return F.broadcast(
+            ent.select(
+                F.col("entity_id").alias(f"id{side}"),
+                F.col("n_blocks").alias(f"nb_{side}"),
+                F.col("sum_pair_card").alias(f"spc_{side}"),
+                F.col("sum_inv_pair_card").alias(f"sipc_{side}"),
+                F.col("sum_inv_size").alias(f"sis_{side}"),
+                F.col("lcp").alias(f"lcp_{side}"),
+            )
+        )
 
     n_b = F.lit(float(gstats.n_blocks))
     total_pc = F.lit(gstats.total_pair_card)
     js = F.col("cb") / (F.col("nb_1") + F.col("nb_2") - F.col("cb"))
 
     features = (
-        pair_agg.join(e1, "id1")
-        .join(e2, "id2")
-        .join(l1, "id1")
-        .join(l2, "id2")
+        pair_agg.join(endpoint("1"), "id1")
+        .join(endpoint("2"), "id2")
         .select(
             "id1",
             "id2",

@@ -1,6 +1,7 @@
 """Weighting-scheme tests: exact hand-computed values on the Figure-1
 fixture, plus structural properties of the statistics."""
 import math
+import re
 
 import pytest
 from pyspark.sql import functions as F
@@ -158,6 +159,33 @@ class TestSchemeProperties:
         # only when blocks are balanced; just check both positive and
         # correlated in rank.
         assert feats[["rs", "raccb"]].corr(method="spearman").iloc[0, 1] > 0.5
+
+
+class TestFeaturePlan:
+    """The candidate set is shuffled once, by the ``(id1, id2)``
+    aggregation: the per-entity table (LCP included) is broadcast onto the
+    pairs, and the cached frame is not repartitioned."""
+
+    @pytest.fixture(scope="class", params=["clean", "dirty"])
+    def prepared(self, spark, request):
+        from repro.core.pipeline import prepare_dataset
+        from repro.er_data.generator import ERConfig, clean_clean, to_spark
+
+        ent, gt = clean_clean(ERConfig(n_matches=10, n_only1=3, n_only2=3, seed=5))
+        return prepare_dataset(
+            spark, "plan", to_spark(spark, ent), to_spark(spark, gt), request.param
+        )
+
+    def test_entity_table_is_broadcast(self, prepared):
+        features, _ = compute_features(prepared.collection)
+        plan = features._jdf.queryExecution().executedPlan().toString()
+        assert not re.search(r"SortMergeJoin \[id[12]#", plan)
+        for key in ("id1", "id2"):
+            assert re.search(rf"BroadcastHashJoin \[{key}#\w+\], \[{key}#", plan)
+
+    def test_prepared_frame_is_not_repartitioned(self, prepared):
+        plan = prepared.features._jdf.queryExecution().executedPlan().toString()
+        assert "RoundRobinPartitioning" not in plan
 
 
 class TestColumnsFor:

@@ -1,12 +1,13 @@
 """Smoke tests: the results entrypoint ``jobs/run.py`` covers every committed
 table through the ``RESULTS`` registry and writes what it prints; the cheap
 harnesses run end-to-end on one analog."""
+import io
 import pathlib
 
 import pandas as pd
 import pytest
 
-from jobs import run
+from jobs import _common, run
 from repro.eval.harness import to_markdown
 from repro.eval.tables import RESULTS
 
@@ -87,3 +88,29 @@ class TestSandboxSession:
         assert conf.get("spark.ui.enabled") == "false"
         log4j = spark.sparkContext._jvm.org.apache.logging.log4j.LogManager
         assert str(log4j.getRootLogger().getLevel()) == "ERROR"
+
+
+class TestDriverMemory:
+    """Without ``SPARK_DRIVER_MEM`` and without a readable cgroup limit,
+    the driver heap is half of MemTotal in whole GiB, clamped to [2, 8]."""
+
+    @pytest.mark.parametrize(
+        "meminfo, expected",
+        [
+            ("MemTotal:       16479424 kB\n", "7g"),
+            ("MemFree: 1 kB\nMemTotal: 67108864 kB\n", "8g"),
+            ("MemTotal: 2097152 kB\n", "2g"),
+            (None, "2g"),
+        ],
+        ids=["16GB", "64GB", "2GB", "unreadable"],
+    )
+    def test_meminfo_rule_without_cgroup(self, monkeypatch, meminfo, expected):
+        def only_meminfo(path, *a, **k):
+            if path == "/proc/meminfo" and meminfo is not None:
+                return io.StringIO(meminfo)
+            raise FileNotFoundError(path)
+
+        monkeypatch.setattr(_common, "open", only_meminfo, raising=False)
+        monkeypatch.delenv("SPARK_DRIVER_MEM", raising=False)
+        monkeypatch.delenv("_SPARK_DRIVER_MEM_SRC", raising=False)
+        assert _common._driver_mem() == expected

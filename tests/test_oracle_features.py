@@ -148,3 +148,14 @@ class TestOracleFeatures:
         coll, assign = dirty_coll
         feats, _ = compute_features(coll)
         assert_equivalent(feats, _DIRTY_SQL, assign=assign)
+
+    @pytest.mark.parametrize("task", ["clean", "dirty"])
+    def test_features_any_partitioning(self, request, shuffle_partitions, task):
+        """The frame keeps the session's partition count, and its values do
+        not depend on it."""
+        coll, assign = request.getfixturevalue(f"{task}_coll")
+        feats, _ = compute_features(coll)
+        assert feats.rdd.getNumPartitions() == shuffle_partitions
+        assert_equivalent(
+            feats, _CLEAN_SQL if task == "clean" else _DIRTY_SQL, assign=assign
+        )
