@@ -1,16 +1,21 @@
-"""Vectorised NumPy engine for the brute-force sweeps.
+"""Vectorised NumPy engine and the one driver-side copy of the candidates.
+
+``LocalContext`` is the candidate set C as the driver holds it: the pairs in
+canonical ``(id1, id2)`` order, their feature matrix, the factorised
+endpoints and the ground-truth label of each pair. ``prepare_dataset``
+builds it once per dataset from the collected feature frame; the Spark
+pipeline draws its training set from it (``sample_balanced``), block
+quality is the sum of its labels, and the sweeps run on it.
 
 The 255-combination sweeps and the figure-section grids (Tables 3/4,
 Sections 5.2/5.4) need thousands of train/score/prune runs on one dataset —
-far too many tiny Spark jobs to launch profitably. Features are computed
-*once* per dataset in Spark and collected; ``LocalContext`` then factorises
-the pair endpoints and the ground-truth membership, and each run is a matrix
-multiply plus a few sorts/scatter-adds.
+far too many tiny Spark jobs to launch profitably — so each run here is a
+matrix multiply plus a few sorts/scatter-adds.
 
 The Spark pruners (``core.prune_weight``, ``core.prune_cardinality``) are the
 reference: tests/test_pipeline.py, tests/test_pruning.py and
-tests/test_fast_local.py assert the same sampler, classifier, pruning
-semantics and tie-breaking on Clean-Clean and Dirty data.
+tests/test_fast_local.py assert the same classifier, pruning semantics and
+tie-breaking on Clean-Clean and Dirty data. Both engines share the sampler.
 """
 from __future__ import annotations
 
@@ -18,7 +23,7 @@ import numpy as np
 import pandas as pd
 
 from repro.classifier.logistic import fit_logistic
-from repro.classifier.training import balanced_indices, match_mask, sort_pairs
+from repro.classifier.training import match_mask, sample_balanced
 from repro.eval.metrics import Effectiveness
 
 
@@ -39,30 +44,42 @@ def _group_cumcount(codes: np.ndarray) -> np.ndarray:
 
 
 class LocalContext:
-    """Per-dataset precomputation for fast sweep runs."""
+    """The candidate table, labelled, in canonical ``(id1, id2)`` order."""
 
     def __init__(self, features: pd.DataFrame, gt: pd.DataFrame):
-        # Sort once into the shared sampler's canonical (id1, id2) order.
-        f = sort_pairs(features)
-        self.id1 = f["id1"].to_numpy()
-        self.id2 = f["id2"].to_numpy()
-        ids = np.concatenate([self.id1, self.id2])
-        uniq, codes = np.unique(ids, return_inverse=True)
+        # Order by (id1, id2) and gather each column once into its place: no
+        # sorted copy of the whole frame. X is Fortran-ordered, the layout
+        # DataFrame.to_numpy gives, so scores are bit-identical to it.
+        id1, id2 = features["id1"].to_numpy(), features["id2"].to_numpy()
+        order = np.lexsort((id2, id1))
+        self.ids = np.stack([id1[order], id2[order]])
+        self.id1, self.id2 = self.ids
+        uniq, codes = np.unique(self.ids, return_inverse=True)
         self.n_entities = len(uniq)
-        n = len(f)
+        n = len(order)
         self.c1 = codes[:n]
         self.c2 = codes[n:]
-        self.columns = [c for c in f.columns if c not in ("id1", "id2")]
-        self.X = f[self.columns].to_numpy(dtype=np.float64)
-        self.is_match = match_mask(f, gt)
+        self.columns = [c for c in features.columns if c not in ("id1", "id2")]
+        self.X = np.empty((n, len(self.columns)), dtype=np.float64, order="F")
+        for j, c in enumerate(self.columns):
+            self.X[:, j] = features[c].to_numpy()[order]
+        self.is_match = match_mask(self.frame(), gt)
         self.n_gt = len(gt)
 
+    def frame(self) -> pd.DataFrame:
+        """The table as ``(id1, id2, *columns)``, sharing its arrays."""
+        return pd.concat(
+            [
+                pd.DataFrame(self.ids.T, columns=["id1", "id2"], copy=False),
+                pd.DataFrame(self.X, columns=self.columns, copy=False),
+            ],
+            axis=1,
+            copy=False,
+        )
+
     # -- training ----------------------------------------------------------
-    def sample(self, cols: list[str], n_per_class: int, seed: int):
-        """Identical semantics to ``sample_balanced`` on the same frame."""
-        take, y = balanced_indices(self.is_match, n_per_class, seed)
-        ci = [self.columns.index(c) for c in cols]
-        return self.X[np.ix_(take, ci)], y
+    #: The one balanced sampler (``classifier.training``), as a method.
+    sample = sample_balanced
 
     # -- scoring -----------------------------------------------------------
     def score(self, cols: list[str], n_per_class: int, seed: int) -> np.ndarray:
@@ -130,10 +147,9 @@ class LocalContext:
         seed: int,
         K: int = 0,
         k: int = 1,
-        r: float = 0.35,
     ) -> Effectiveness:
         p = self.score(cols, n_train_per_class, seed)
-        return self.evaluate(self.prune(p, algorithm, K=K, k=k, r=r))
+        return self.evaluate(self.prune(p, algorithm, K=K, k=k))
 
     def evaluate(self, keep: np.ndarray) -> Effectiveness:
         """Effectiveness of a retained-mask (twin of ``eval.metrics``)."""

@@ -1,14 +1,16 @@
 """End-to-end Generalized Supervised Meta-blocking pipeline.
 
 ``prepare_dataset`` runs blocking + feature generation once per dataset,
-caches the Spark feature frame *and* collects it to the driver (at most a few
-hundred thousand rows at these scales): the pandas copy feeds the
-deterministic training sampler and the sweep engine, while scoring and
-pruning — the paper's contribution — run in Spark. ``run_method`` trains the
-probabilistic classifier, scores every candidate pair with a Catalyst sigmoid
-expression, applies one pruning algorithm and measures effectiveness and
-run-time. RT covers training + scoring + pruning + evaluation (the paper's
-Section 2.1 definition), not the one-off blocking.
+caches the Spark feature frame *and* collects it to the driver (8.6M rows at
+the largest analog, D300K) into the one driver-side candidate table,
+``core.fast_local.LocalContext``: canonical ``(id1, id2)`` order, every pair
+labelled against the ground truth. Block quality is the sum of its labels,
+the training sampler draws from it, and the sweeps run on it, while scoring
+and pruning — the paper's contribution — run in Spark. ``run_method`` trains
+the probabilistic classifier, scores every candidate pair with a Catalyst
+sigmoid expression, applies one pruning algorithm and measures effectiveness
+and run-time. RT covers training + scoring + pruning + evaluation (the
+paper's Section 2.1 definition), not the one-off blocking or the table.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
@@ -26,6 +29,7 @@ from repro.eval.metrics import Effectiveness, effectiveness
 from repro.features.schemes import compute_features, columns_for
 from repro.features.stats import GlobalStats
 from repro.core import prune_weight, prune_cardinality
+from repro.core.fast_local import LocalContext
 
 #: Default feature sets (paper Formulas 1 & 2 and the [21] baseline set).
 FEATURES_21 = ("CF-IBF", "RACCB", "JS", "LCP")
@@ -40,12 +44,17 @@ class DatasetArtifacts:
     name: str
     collection: BlockCollection
     features: DataFrame  # cached Spark frame: (id1, id2, 9 feature columns)
-    features_pdf: pd.DataFrame  # driver copy for sampling / local engine
+    context: LocalContext  # the one driver copy: sampler, labels, sweeps
     gstats: GlobalStats
     ground_truth: DataFrame
     gt_pdf: pd.DataFrame
     n_candidates: int
     block_quality: Effectiveness
+
+    @property
+    def features_pdf(self) -> pd.DataFrame:
+        """The collected features in canonical order (a view of ``context``)."""
+        return self.context.frame()
 
     @property
     def cep_K(self) -> int:
@@ -79,41 +88,34 @@ def prepare_dataset(
     ground_truth: DataFrame,
     task: str,
 ) -> DatasetArtifacts:
-    """Block the dataset, compute all 8 features once, cache + collect, and
-    measure the input block collection's quality (paper Table 2)."""
+    """Block the dataset, compute all 8 features once, cache them, collect
+    them into the candidate table ``LocalContext`` and measure the input
+    block collection's quality from its labels (paper Table 2)."""
     collection = build_blocks(entities, task)
     features, gstats = compute_features(collection)
     # Cached as computed: the frame keeps the (id1, id2) aggregation's
     # spark.sql.shuffle.partitions partitions; the broadcast entity joins
     # add no exchange, and a repartition would shuffle |C| rows again.
     features = features.cache()
-    features_pdf = features.toPandas()  # one job; also warms the cache
     gt = ground_truth.select("id1", "id2").cache()
     gt_pdf = gt.toPandas()
-    from repro.classifier.training import match_mask
-
-    n_found = int(match_mask(features_pdf, gt_pdf).sum())
-    block_quality = Effectiveness(
-        n_pairs=len(features_pdf),
-        n_matches_found=n_found,
-        n_matches_total=len(gt_pdf),
-    )
+    # One job, which also warms the cache; the collected frame lives only
+    # until the context has gathered it into canonical order.
+    context = LocalContext(features.toPandas(), gt_pdf)
     return DatasetArtifacts(
         name=name,
         collection=collection,
         features=features,
-        features_pdf=features_pdf,
+        context=context,
         gstats=gstats,
         ground_truth=gt,
         gt_pdf=gt_pdf,
-        n_candidates=len(features_pdf),
-        block_quality=block_quality,
+        n_candidates=len(context.is_match),
+        block_quality=context.evaluate(np.ones_like(context.is_match)),
     )
 
 
-def _pruner(
-    algorithm: str, arts: DatasetArtifacts, blast_r: float
-) -> Callable[[DataFrame], DataFrame]:
+def _pruner(algorithm: str, arts: DatasetArtifacts) -> Callable[[DataFrame], DataFrame]:
     if algorithm == "BCl":
         return prune_weight.bcl
     if algorithm == "WEP":
@@ -123,7 +125,7 @@ def _pruner(
     if algorithm == "RWNP":
         return prune_weight.rwnp
     if algorithm == "BLAST":
-        return lambda s: prune_weight.blast(s, r=blast_r)
+        return prune_weight.blast
     if algorithm == "CEP":
         return lambda s: prune_cardinality.cep(s, K=arts.cep_K)
     if algorithm == "CNP":
@@ -155,22 +157,17 @@ def run_method(
     feature_set: tuple[str, ...],
     n_train_per_class: int,
     seed: int,
-    blast_r: float = 0.35,
 ) -> MethodResult:
     """Train, score, prune, evaluate one configuration on one dataset."""
     cols = columns_for(feature_set)
     n_train_per_class = resolve_n_train(arts, n_train_per_class)
     t0 = time.perf_counter()
     X, y = sample_balanced(
-        arts.features_pdf,
-        arts.gt_pdf,
-        cols,
-        n_per_class=n_train_per_class,
-        seed=seed,
+        arts.context, cols, n_per_class=n_train_per_class, seed=seed
     )
     model = fit_logistic(X, y, cols)
     scored = score_pairs(arts.features, model)
-    retained = _pruner(algorithm, arts, blast_r)(scored)
+    retained = _pruner(algorithm, arts)(scored)
     eff = effectiveness(  # single Spark job; forces execution
         retained, arts.ground_truth, n_total=arts.block_quality.n_matches_total
     )

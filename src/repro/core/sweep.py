@@ -45,7 +45,6 @@ def sweep_dataset(
     seeds: list[int],
     K: int = 0,
     k: int = 1,
-    r: float = 0.35,
     feature_sets: list[tuple[int, tuple[str, ...]]] | None = None,
     context: LocalContext | None = None,
 ) -> pd.DataFrame:
@@ -53,7 +52,8 @@ def sweep_dataset(
 
     Returns columns: ``fid, features, recall, precision, f1``. Runs on the
     vectorised ``LocalContext`` engine (equivalence-tested against the
-    Spark pruners and the Spark pipeline).
+    Spark pruners and the Spark pipeline): ``context`` (pass
+    ``DatasetArtifacts.context``) or, without it, one built from the frames.
     """
     ctx = context if context is not None else LocalContext(features, gt)
     rows = []
@@ -62,7 +62,7 @@ def sweep_dataset(
         effs = [
             ctx.run(
                 algorithm, cols,
-                n_train_per_class=n_train_per_class, seed=s, K=K, k=k, r=r,
+                n_train_per_class=n_train_per_class, seed=s, K=K, k=k,
             )
             for s in seeds
         ]

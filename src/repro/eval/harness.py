@@ -22,7 +22,6 @@ class MethodSpec:
     algorithm: str
     feature_set: tuple[str, ...]
     n_train_per_class: int
-    blast_r: float = 0.35
 
 
 def to_markdown(df: pd.DataFrame, *, floatfmt: str = "%.4f") -> str:

@@ -10,7 +10,9 @@ Engine choice per experiment (DESIGN.md §5): tables that report run-times
 (5, 6, 7, scalability) execute the Spark pipeline; pure-effectiveness sweeps
 (Tables 3/4, Sections 5.2/5.4) use the NumPy engine ``core.fast_local`` —
 equivalence-tested against Spark on Clean-Clean and Dirty data — because
-they need thousands of tiny runs, not dataflow timing.
+they need thousands of tiny runs, not dataflow timing. They run on
+``arts.context``, the candidate table ``prepare_dataset`` built with the
+artifacts, so each dataset has one driver-side copy of its candidates.
 
 Paper-reported numbers are bundled as ``PAPER_*`` constants so harnesses and
 EXPERIMENTS.md can print paper-vs-measured side by side.
@@ -22,7 +24,6 @@ from typing import Callable, Iterable
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.fast_local import LocalContext
 from repro.core.pipeline import (
     FEATURES_21,
     FEATURES_BLAST,
@@ -42,9 +43,9 @@ from repro.eval.harness import MethodSpec
 from repro.features.schemes import columns_for
 
 #: In-process artifact cache: every table shares one blocking+features pass
-#: per dataset (exactly like the paper, which builds blocks once).
+#: per dataset (exactly like the paper, which builds blocks once), and with
+#: it the dataset's one driver-side candidate table, ``arts.context``.
 _ARTIFACTS: dict[str, DatasetArtifacts] = {}
-_CONTEXTS: dict[str, LocalContext] = {}
 
 
 def get_artifacts(spark: SparkSession, name: str) -> DatasetArtifacts:
@@ -53,14 +54,6 @@ def get_artifacts(spark: SparkSession, name: str) -> DatasetArtifacts:
         entities, gt, task = load_analog(spark, name)
         _ARTIFACTS[name] = prepare_dataset(spark, name, entities, gt, task)
     return _ARTIFACTS[name]
-
-
-def get_context(spark: SparkSession, name: str) -> LocalContext:
-    """Vectorised local-engine context for an analog, memoised per process."""
-    if name not in _CONTEXTS:
-        arts = get_artifacts(spark, name)
-        _CONTEXTS[name] = LocalContext(arts.features_pdf, arts.gt_pdf)
-    return _CONTEXTS[name]
 
 
 def _clean_names(names: Iterable[str] | None) -> list[str]:
@@ -174,7 +167,7 @@ def _sweep(
                 seeds=seeds,
                 K=arts.cep_K,
                 k=arts.cnp_k,
-                context=get_context(spark, name),
+                context=arts.context,
             )
         )
     return top_feature_sets(per_dataset, n=top)
@@ -255,7 +248,6 @@ def _spark_grid(
                     feature_set=spec.feature_set,
                     n_train_per_class=spec.n_train_per_class,
                     seed=seed,
-                    blast_r=spec.blast_r,
                 )
                 effs.append(res.eff)
                 rts.append(res.runtime_s)
@@ -390,10 +382,9 @@ def section52(
     rows = []
     for name in _clean_names(names):
         arts = get_artifacts(spark, name)
-        ctx = get_context(spark, name)
         for algo in (*WEIGHT_ALGOS, *CARD_ALGOS):
             for seed in seeds:
-                eff = ctx.run(
+                eff = arts.context.run(
                     algo,
                     columns_for(FEATURES_21),
                     n_train_per_class=n_train_per_class,
@@ -440,11 +431,10 @@ def section54(
     rows = []
     for name in _clean_names(names):
         arts = get_artifacts(spark, name)
-        ctx = get_context(spark, name)
         for algo, feats in grid:
             for size in sizes:
                 for seed in seeds:
-                    eff = ctx.run(
+                    eff = arts.context.run(
                         algo,
                         columns_for(feats),
                         n_train_per_class=max(1, size // 2),

@@ -63,11 +63,17 @@ class GlobalStats:
 
 
 def global_stats(blocks: DataFrame) -> GlobalStats:
+    """|B|, ||B|| and the sum of |b| over the comparison-bearing blocks."""
     row = blocks.agg(
         F.count("*").alias("n_blocks"),
         F.sum("pair_card").alias("total_pair_card"),
         F.sum("size").alias("sum_block_sizes"),
     ).collect()[0]
+    if row["n_blocks"] == 0:
+        raise ValueError(
+            "no comparison-bearing block, so no candidate pair: no token is "
+            "shared by two entities that may be compared"
+        )
     return GlobalStats(
         n_blocks=int(row["n_blocks"]),
         total_pair_card=float(row["total_pair_card"]),

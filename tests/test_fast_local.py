@@ -2,7 +2,8 @@
 
 ``LocalContext`` must reproduce the Spark pruners exactly — same pruning
 semantics and tie-breaking — for every algorithm and several seeds, on real
-pipeline features, and must sample exactly like the shared sampler.
+pipeline features. It is also the table the Spark pipeline samples from, so
+its constructor must give the same arrays whatever the input row order.
 End-to-end runs against the Spark pipeline, on Clean-Clean and Dirty data,
 are in tests/test_pipeline.py.
 """
@@ -11,23 +12,26 @@ import pandas as pd
 import pytest
 
 import repro.core
-from repro.blocking import build_blocks
+from repro.classifier.logistic import fit_logistic
 from repro.core.fast_local import LocalContext, _group_cumcount
-from repro.core.pipeline import PRUNERS
+from repro.core.pipeline import FEATURES_21, PRUNERS, prepare_dataset, run_method
 from repro.er_data.generator import ERConfig, clean_clean, to_spark
-from repro.features import compute_features
 from repro.features.schemes import columns_for
 
 
 @pytest.fixture(scope="module")
-def dataset(spark):
+def arts(spark):
     ent, gt = clean_clean(
         ERConfig(n_matches=70, n_only1=20, n_only2=25, vocab_size=700, seed=55)
     )
-    coll = build_blocks(to_spark(spark, ent), "clean")
-    feats, gstats = compute_features(coll)
-    pdf = feats.toPandas()
-    return pdf, gt, gstats
+    return prepare_dataset(
+        spark, "fl", to_spark(spark, ent), to_spark(spark, gt), "clean"
+    )
+
+
+@pytest.fixture(scope="module")
+def dataset(arts):
+    return arts.features_pdf, arts.gt_pdf, arts.gstats
 
 
 class TestGroupCumcount:
@@ -75,16 +79,15 @@ class TestContextEquivalence:
             local, ref = _both_engines(spark, ctx, p, algo, gstats.sum_block_sizes // 2, 3)
             assert local == ref, algo
 
-    def test_sampler_identical_to_shared_sampler(self, dataset):
-        from repro.classifier.training import sample_balanced
-
-        pdf, gt, _ = dataset
-        ctx = LocalContext(pdf, gt)
-        cols = ["cf_ibf", "js"]
-        Xa, ya = ctx.sample(cols, 12, 9)
-        Xb, yb = sample_balanced(pdf, gt, cols, n_per_class=12, seed=9)
-        np.testing.assert_array_equal(Xa, Xb)
-        np.testing.assert_array_equal(ya, yb)
+    def test_sampler_identical_to_shared_sampler(self, arts):
+        """A Spark run trains on the context's own sample: its model is the
+        one fitted to ``arts.context.sample``, bit for bit."""
+        cols = columns_for(FEATURES_21)
+        res = run_method(arts, "BCl", feature_set=FEATURES_21,
+                         n_train_per_class=12, seed=9)
+        want = fit_logistic(*arts.context.sample(cols, 12, 9), cols)
+        np.testing.assert_array_equal(res.model.coef, want.coef)
+        assert res.model.intercept == want.intercept
 
     def test_unknown_algorithm(self, dataset):
         pdf, gt, _ = dataset
@@ -100,3 +103,35 @@ class TestContextEquivalence:
         for algo in PRUNERS:
             keep = ctx.prune(p, algo, K=100, k=2)
             assert not (keep & (p < 0.5)).any(), algo
+
+
+class TestConstructor:
+    @staticmethod
+    def _arrays(ctx):
+        return ctx.X, ctx.id1, ctx.id2, ctx.is_match
+
+    @pytest.mark.parametrize("random_state", [0, 7])
+    def test_row_order_invariant(self, dataset, random_state):
+        """A shuffled input gives the same table, bit for bit, as the
+        canonical one; X keeps ``DataFrame.to_numpy``'s Fortran layout."""
+        pdf, gt, _ = dataset
+        ref = LocalContext(pdf, gt)
+        got = LocalContext(pdf.sample(frac=1.0, random_state=random_state), gt)
+        for a, b in zip(self._arrays(ref), self._arrays(got)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert got.X.flags.f_contiguous
+
+    def test_matrix_is_the_sorted_frame(self, dataset):
+        """X equals the float64 matrix of the (id1, id2)-sorted frame."""
+        pdf, gt, _ = dataset
+        ctx = LocalContext(pdf.sample(frac=1.0, random_state=3), gt)
+        ordered = pdf.sort_values(["id1", "id2"])
+        want = ordered[ctx.columns].to_numpy(dtype=np.float64)
+        assert want.tobytes() == ctx.X.tobytes()
+        assert (ordered["id1"].to_numpy() == ctx.id1).all()
+
+    def test_frame_shares_the_arrays(self, arts):
+        f = arts.features_pdf
+        assert list(f.columns) == ["id1", "id2", *arts.context.columns]
+        assert np.shares_memory(f[arts.context.columns[0]].to_numpy(), arts.context.X)
+        assert np.shares_memory(f["id1"].to_numpy(), arts.context.ids)

@@ -2,7 +2,9 @@
 import pandas as pd
 import pytest
 
+from repro.core.fast_local import LocalContext
 from repro.core.pipeline import FEATURES_21, FEATURES_BLAST
+from repro.eval import tables
 from repro.eval.harness import MethodSpec, to_markdown
 from repro.eval.tables import _spark_grid
 
@@ -30,6 +32,24 @@ class TestEvaluateGrid:
         for col in ("recall", "precision", "f1"):
             want = (single[0].loc[0, col] + single[1].loc[0, col]) / 2
             assert grid.loc[0, col] == pytest.approx(want)
+
+
+class TestOneContextPerDataset:
+    def test_sweep_and_grid_share_the_prepared_context(self, spark, monkeypatch):
+        """The NumPy-engine tables read ``arts.context``: preparing AbtBuy,
+        sweeping it and running Section 5.2 builds one ``LocalContext``."""
+        built = []
+        init = LocalContext.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LocalContext, "__init__", counting)
+        monkeypatch.setattr(tables, "_ARTIFACTS", {})
+        tables.table3(spark, ["AbtBuy"], top=3)
+        tables.section52(spark, ["AbtBuy"], seeds=[1])
+        assert len(built) == 1
 
 
 class TestToMarkdown:

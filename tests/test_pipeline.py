@@ -1,8 +1,16 @@
 """Integration tests: full GSM pipeline on a small synthetic Clean-Clean
 task, Spark-vs-local-engine end-to-end equivalence on Clean-Clean and Dirty
-tasks, and the qualitative behaviours the paper's evaluation rests on."""
+tasks, degenerate inputs, the qualitative behaviours the paper's evaluation
+rests on, and the layer functions the benchmark (perfbench/run.py) wraps."""
+import importlib.util
+import sys
+from pathlib import Path
+
+import numpy as np
+import pandas as pd
 import pytest
 
+import repro.classifier.training as training
 from repro.core.fast_local import LocalContext
 from repro.core.pipeline import (
     FEATURES_21,
@@ -132,3 +140,98 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("algo", PRUNERS)
     def test_dirty_end_to_end_equal(self, dirty_arts, dirty_results, algo):
         assert self._local(dirty_arts, algo) == dirty_results[algo].eff
+
+
+class TestDriverWork:
+    def test_run_method_does_no_candidate_sized_driver_work(self, arts, monkeypatch):
+        """A Spark run draws its training rows from the prepared candidate
+        table: it neither re-sorts nor re-labels nor rebuilds the |C|-row
+        driver copy."""
+
+        def boom(*args, **kwargs):
+            raise AssertionError("|C|-sized driver work inside run_method")
+
+        monkeypatch.setattr(pd.DataFrame, "sort_values", boom)
+        monkeypatch.setattr(pd.MultiIndex, "isin", boom)
+        monkeypatch.setattr(training, "match_mask", boom)
+        monkeypatch.setattr(LocalContext, "__init__", boom)
+        res = run_method(arts, "BLAST", feature_set=FEATURES_BLAST,
+                         n_train_per_class=20, seed=3)
+        assert res.eff.n_pairs > 0
+
+
+def _entities(texts, task):
+    """Entity frame; Clean-Clean puts the first entity alone in source 1."""
+    source = [1] + [2 if task == "clean" else 1] * (len(texts) - 1)
+    return pd.DataFrame(
+        {"entity_id": np.arange(len(texts)), "source": source, "text": texts}
+    )
+
+
+class TestDegenerateInputs:
+    @pytest.mark.parametrize("task", ["clean", "dirty"])
+    def test_no_shared_token(self, spark, task):
+        """|C| = 0 is refused with its cause, not a TypeError downstream."""
+        ent = to_spark(spark, _entities(["alpha", "beta", "gamma"], task))
+        gt = spark.createDataFrame([(0, 1)], "id1 long, id2 long")
+        with pytest.raises(ValueError, match="no comparison-bearing block"):
+            prepare_dataset(spark, "no-token", ent, gt, task)
+
+    @pytest.fixture(scope="class", params=["clean", "dirty"])
+    def no_match_arts(self, spark, request):
+        """The test datasets with a ground truth disjoint from C."""
+        make = clean_clean if request.param == "clean" else dirty
+        ent, _ = make(ERConfig(n_matches=40, n_only1=15, n_only2=15,
+                               vocab_size=600, seed=4))
+        gt = spark.createDataFrame([(10**6, 10**6 + 1)], "id1 long, id2 long")
+        return prepare_dataset(spark, "no-match", to_spark(spark, ent), gt,
+                               request.param)
+
+    @pytest.mark.parametrize("algo", PRUNERS)
+    def test_empty_positive_class(self, no_match_arts, algo):
+        """Negatives only: both engines agree and the model stays finite."""
+        arts = no_match_arts
+        assert arts.block_quality.n_matches_found == 0
+        res = run_method(arts, algo, feature_set=FEATURES_21,
+                         n_train_per_class=20, seed=3)
+        assert np.isfinite(res.model.coef).all()
+        assert np.isfinite(res.model.intercept)
+        local = arts.context.run(
+            algo, columns_for(FEATURES_21), n_train_per_class=20, seed=3,
+            K=arts.cep_K, k=arts.cnp_k,
+        )
+        assert local == res.eff
+        assert res.eff.n_matches_found == 0
+
+
+class TestBenchmarkSpans:
+    """perfbench/run.py wraps layer functions where their callers look them
+    up; every name must resolve, and a Spark run must pass through them."""
+
+    @staticmethod
+    def _bench(monkeypatch):
+        bench = Path(__file__).resolve().parents[1] / "perfbench"
+        monkeypatch.syspath_prepend(str(bench))  # its `checks` and `tracer`
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)
+        spec.loader.exec_module(module)
+        return module
+
+    def test_wrapped_layers_record_a_run(self, arts, monkeypatch):
+        bench = self._bench(monkeypatch)
+        tr = bench.Tracer()
+        try:
+            bench.install_spans(tr)
+            assert tr._patches
+            for owner, attr, orig in tr._patches:
+                assert getattr(owner, attr).__wrapped__ is orig, attr
+            run_method(arts, "BCl", feature_set=FEATURES_21,
+                       n_train_per_class=20, seed=3)
+        finally:
+            tr.unwrap_all()
+        names = [s.name for s in tr.spans]
+        for name in ("classifier.sample", "classifier.fit", "core.score",
+                     "eval.effectiveness"):
+            assert name in names, name
+        assert sum(s.attrs.get("train_rows", 0) for s in tr.spans) == 40

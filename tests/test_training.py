@@ -1,9 +1,11 @@
-"""Tests for balanced training-set sampling."""
+"""Tests for balanced training-set sampling: the one sampler, drawing from
+the driver-side candidate table ``LocalContext``."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.classifier.training import match_mask, sample_balanced
+from repro.core.fast_local import LocalContext
 
 
 @pytest.fixture()
@@ -19,6 +21,10 @@ def toy():
     return feats, gt
 
 
+def _sample(feats, gt, cols, *, n_per_class, seed):
+    return sample_balanced(LocalContext(feats, gt), cols, n_per_class, seed)
+
+
 class TestMatchMask:
     def test_marks_exactly_the_truth(self, toy):
         feats, gt = toy
@@ -32,42 +38,60 @@ class TestMatchMask:
 
 
 class TestSampleBalanced:
+    def test_is_the_context_sampler(self):
+        assert LocalContext.sample is sample_balanced
+
     def test_balance(self, toy):
         feats, gt = toy
-        X, y = sample_balanced(feats, gt, ["f"], n_per_class=2, seed=0)
+        X, y = _sample(feats, gt, ["f"], n_per_class=2, seed=0)
         assert X.shape == (4, 1)
         assert y.sum() == 2 and len(y) == 4
 
     def test_labels_are_correct(self, toy):
         """Sampled positives must carry feature values of true matches."""
         feats, gt = toy
-        X, y = sample_balanced(feats, gt, ["f"], n_per_class=3, seed=1)
+        X, y = _sample(feats, gt, ["f"], n_per_class=3, seed=1)
         pos_fs = {0.9, 0.8, 0.7}  # f values of the three matches
         assert set(X[y == 1, 0]) <= pos_fs
 
     def test_takes_all_when_class_too_small(self, toy):
         feats, gt = toy
-        X, y = sample_balanced(feats, gt, ["f"], n_per_class=100, seed=0)
+        X, y = _sample(feats, gt, ["f"], n_per_class=100, seed=0)
         assert y.sum() == 3 and (y == 0).sum() == 5
 
     def test_deterministic_in_seed(self, toy):
         feats, gt = toy
-        a = sample_balanced(feats, gt, ["f"], n_per_class=2, seed=7)
-        b = sample_balanced(feats, gt, ["f"], n_per_class=2, seed=7)
+        a = _sample(feats, gt, ["f"], n_per_class=2, seed=7)
+        b = _sample(feats, gt, ["f"], n_per_class=2, seed=7)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
     def test_row_order_invariance(self, toy):
         """The sample depends on (id1,id2) and seed, not input row order."""
         feats, gt = toy
         shuffled = feats.sample(frac=1.0, random_state=3)
-        a = sample_balanced(feats, gt, ["f"], n_per_class=2, seed=5)
-        b = sample_balanced(shuffled, gt, ["f"], n_per_class=2, seed=5)
+        a = _sample(feats, gt, ["f"], n_per_class=2, seed=5)
+        b = _sample(shuffled, gt, ["f"], n_per_class=2, seed=5)
         assert np.array_equal(a[0], b[0])
 
     def test_different_seeds_eventually_differ(self, toy):
         feats, gt = toy
         draws = {
-            tuple(sample_balanced(feats, gt, ["f"], n_per_class=2, seed=s)[0].ravel())
+            tuple(_sample(feats, gt, ["f"], n_per_class=2, seed=s)[0].ravel())
             for s in range(6)
         }
         assert len(draws) > 1
+
+    def test_empty_positive_class(self, toy):
+        """Ground truth disjoint from the candidates: negatives only."""
+        feats, _ = toy
+        gt = pd.DataFrame({"id1": [99], "id2": [999]})
+        X, y = _sample(feats, gt, ["f"], n_per_class=3, seed=0)
+        assert X.shape == (3, 1) and not y.any()
+
+    def test_fortran_order(self, toy):
+        """The logistic fit's column sums round by memory layout; published
+        models were fitted on Fortran-ordered samples."""
+        feats, gt = toy
+        feats = feats.assign(g=feats["f"] * 2)
+        X, _ = _sample(feats, gt, ["f", "g"], n_per_class=2, seed=0)
+        assert X.flags.f_contiguous
