@@ -100,7 +100,7 @@ class LocalContext:
         if algorithm == "WEP":
             if not valid.any():
                 return valid
-            return valid & (p >= p[valid].mean())
+            return valid & (p >= min(p[valid].mean(), p[valid].max()))
         if algorithm == "BLAST":
             mx = np.zeros(self.n_entities)
             np.maximum.at(mx, self.c1[valid], p[valid])

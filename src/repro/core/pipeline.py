@@ -1,16 +1,18 @@
 """End-to-end Generalized Supervised Meta-blocking pipeline.
 
 ``prepare_dataset`` runs blocking + feature generation once per dataset,
-caches the Spark feature frame *and* collects it to the driver (8.6M rows at
-the largest analog, D300K) into the one driver-side candidate table,
-``core.fast_local.LocalContext``: canonical ``(id1, id2)`` order, every pair
-labelled against the ground truth. Block quality is the sum of its labels,
-the training sampler draws from it, and the sweeps run on it, while scoring
-and pruning — the paper's contribution — run in Spark. ``run_method`` trains
-the probabilistic classifier, scores every candidate pair with a Catalyst
-sigmoid expression, applies one pruning algorithm and measures effectiveness
-and run-time. RT covers training + scoring + pruning + evaluation (the
-paper's Section 2.1 definition), not the one-off blocking or the table.
+local-checkpoints the Spark feature frame (every later plan starts from one
+stored RDD scan, not the blocking + features DAG) *and* collects it to the
+driver (8.6M rows at the largest analog, D300K) into the one driver-side
+candidate table, ``core.fast_local.LocalContext``: canonical ``(id1, id2)``
+order, every pair labelled against the ground truth. Block quality is the
+sum of its labels, the training sampler draws from it, and the sweeps run on
+it, while scoring and pruning — the paper's contribution — run in Spark.
+``run_method`` trains the probabilistic classifier, scores every candidate
+pair with a Catalyst sigmoid expression, applies one pruning algorithm and
+measures effectiveness and run-time. RT covers training + scoring + pruning
++ evaluation (the paper's Section 2.1 definition), not the one-off blocking
+or the table.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ class DatasetArtifacts:
 
     name: str
     collection: BlockCollection
-    features: DataFrame  # cached Spark frame: (id1, id2, 9 feature columns)
+    features: DataFrame  # checkpointed: (id1, id2, 9 feature columns)
     context: LocalContext  # the one driver copy: sampler, labels, sweeps
     gstats: GlobalStats
     ground_truth: DataFrame
@@ -88,19 +90,22 @@ def prepare_dataset(
     ground_truth: DataFrame,
     task: str,
 ) -> DatasetArtifacts:
-    """Block the dataset, compute all 8 features once, cache them, collect
-    them into the candidate table ``LocalContext`` and measure the input
-    block collection's quality from its labels (paper Table 2)."""
+    """Block the dataset, compute all 8 features once, checkpoint them,
+    collect them into the candidate table ``LocalContext`` and measure the
+    input block collection's quality from its labels (paper Table 2)."""
     collection = build_blocks(entities, task)
     features, gstats = compute_features(collection)
-    # Cached as computed: the frame keeps the (id1, id2) aggregation's
-    # spark.sql.shuffle.partitions partitions; the broadcast entity joins
-    # add no exchange, and a repartition would shuffle |C| rows again.
-    features = features.cache()
+    # Lineage cut: every frame built on the features later (scoring,
+    # pruning, evaluation) plans and schedules against one stored RDD scan,
+    # not the blocking + features DAG. Lazy, so the collect below computes
+    # and stores the rows in one job. The frame keeps the (id1, id2)
+    # aggregation's spark.sql.shuffle.partitions partitions; a repartition
+    # would shuffle |C| rows again.
+    features = features.localCheckpoint(eager=False)
     gt = ground_truth.select("id1", "id2").cache()
     gt_pdf = gt.toPandas()
-    # One job, which also warms the cache; the collected frame lives only
-    # until the context has gathered it into canonical order.
+    # One job, which also stores the checkpoint; the collected frame lives
+    # only until the context has gathered it into canonical order.
     context = LocalContext(features.toPandas(), gt_pdf)
     return DatasetArtifacts(
         name=name,

@@ -49,10 +49,13 @@ def bcl(scored: DataFrame) -> DataFrame:
 def wep(scored: DataFrame) -> DataFrame:
     """Supervised Weighted Edge Pruning (Algorithm 1)."""
     valid = _valid(scored)
-    mean_row = valid.agg(F.avg("p").alias("m")).collect()[0]
-    if mean_row["m"] is None:  # no valid pairs at all
+    row = valid.agg(F.avg("p").alias("m"), F.max("p").alias("mx")).collect()[0]
+    if row["m"] is None:  # no valid pairs at all
         return scored.select("id1", "id2").limit(0)
-    return valid.filter(F.col("p") >= float(mean_row["m"])).select("id1", "id2")
+    # A float mean can round above every p when they are all equal; the
+    # true mean never exceeds the maximum (DESIGN.md §3).
+    mean = min(float(row["m"]), float(row["mx"]))
+    return valid.filter(F.col("p") >= mean).select("id1", "id2")
 
 
 def _node_pruning(scored: DataFrame, *, reciprocal: bool) -> DataFrame:

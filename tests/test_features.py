@@ -164,7 +164,9 @@ class TestSchemeProperties:
 class TestFeaturePlan:
     """The candidate set is shuffled once, by the ``(id1, id2)``
     aggregation: the per-entity table (LCP included) is broadcast onto the
-    pairs, and the cached frame is not repartitioned."""
+    pairs. The prepared frame is that aggregation's output, not
+    repartitioned, behind a lineage cut: later plans start from one stored
+    scan and never re-run blocking."""
 
     @pytest.fixture(scope="class", params=["clean", "dirty"])
     def prepared(self, spark, request):
@@ -183,9 +185,32 @@ class TestFeaturePlan:
         for key in ("id1", "id2"):
             assert re.search(rf"BroadcastHashJoin \[{key}#\w+\], \[{key}#", plan)
 
-    def test_prepared_frame_is_not_repartitioned(self, prepared):
-        plan = prepared.features._jdf.queryExecution().executedPlan().toString()
-        assert "RoundRobinPartitioning" not in plan
+    def test_prepared_frame_is_one_scan(self, spark, prepared):
+        plan = prepared.features._jdf.queryExecution().analyzed()
+        assert plan.nodeName() == "LogicalRDD"
+        assert plan.collectLeaves().size() == 1
+        tree = plan.toString()
+        for node in ("Join", "Aggregate", "Generate", "InMemoryRelation"):
+            assert node not in tree
+        assert prepared.features.rdd.getNumPartitions() == int(
+            spark.conf.get("spark.sql.shuffle.partitions")
+        )
+        # A count runs its scan and its merge stage only: the DAG holds no
+        # blocking or feature stage, not even a skipped one.
+        group = f"prepared-count-{prepared.collection.task}"
+        sc = spark.sparkContext
+        sc.setJobGroup(group, "count over the prepared frame")
+        try:
+            prepared.features.count()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        status = sc.statusTracker()
+        stage_ids = [
+            s
+            for j in status.getJobIdsForGroup(group)
+            for s in status.getJobInfo(j).stageIds
+        ]
+        assert len(stage_ids) == 2
 
 
 class TestColumnsFor:

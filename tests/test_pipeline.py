@@ -203,6 +203,35 @@ class TestDegenerateInputs:
         assert local == res.eff
         assert res.eff.n_matches_found == 0
 
+    @pytest.fixture(scope="class", params=["clean", "dirty"])
+    def all_match_arts(self, spark, request):
+        """The test datasets with a ground truth equal to C."""
+        make = clean_clean if request.param == "clean" else dirty
+        ent, gt = make(ERConfig(n_matches=40, n_only1=15, n_only2=15,
+                                vocab_size=600, seed=4))
+        ent = to_spark(spark, ent)
+        arts = prepare_dataset(spark, "pairs", ent, to_spark(spark, gt),
+                               request.param)
+        every_pair = spark.createDataFrame(arts.features_pdf[["id1", "id2"]])
+        return prepare_dataset(spark, "all-match", ent, every_pair,
+                               request.param)
+
+    @pytest.mark.parametrize("algo", PRUNERS)
+    def test_empty_negative_class(self, all_match_arts, algo):
+        """Positives only: both engines agree and the model stays finite."""
+        arts = all_match_arts
+        assert arts.block_quality.n_matches_found == arts.n_candidates
+        res = run_method(arts, algo, feature_set=FEATURES_21,
+                         n_train_per_class=20, seed=3)
+        assert np.isfinite(res.model.coef).all()
+        assert np.isfinite(res.model.intercept)
+        local = arts.context.run(
+            algo, columns_for(FEATURES_21), n_train_per_class=20, seed=3,
+            K=arts.cep_K, k=arts.cnp_k,
+        )
+        assert local == res.eff
+        assert res.eff.n_matches_found == res.eff.n_pairs
+
 
 class TestBenchmarkSpans:
     """perfbench/run.py wraps layer functions where their callers look them
