@@ -8,6 +8,11 @@ class from that table, deterministically in ``seed`` (rows in canonical
 ``(id1, id2)`` order, shuffled by a seeded NumPy permutation). The Spark
 pipeline calls it as ``core.pipeline.sample_balanced`` and the NumPy engine
 as ``LocalContext.sample``, so both engines train on the same labelled rows.
+
+The draw — which rows, with which labels — depends only on
+``(n_per_class, seed)``, not on the feature columns, so it is made once per
+pair and memoised on the table (``LocalContext.draws``); each call only
+gathers its columns. A 255-set sweep draws once per seed, not 255 times.
 """
 from __future__ import annotations
 
@@ -26,23 +31,39 @@ def match_mask(pairs: pd.DataFrame, gt: pd.DataFrame) -> np.ndarray:
     return pd.MultiIndex.from_frame(pairs[["id1", "id2"]]).isin(key)
 
 
+def _draw(
+    table: LocalContext, n_per_class: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and labels ``(take, y)`` of one balanced draw, made once per
+    ``(n_per_class, seed)`` and kept read-only in ``table.draws``."""
+    n = int(n_per_class)
+    key = (n, seed)
+    if key not in table.draws:
+        g = np.random.default_rng(seed)
+        pos_idx = np.flatnonzero(table.is_match)
+        neg_idx = np.flatnonzero(~table.is_match)
+        pos_take = pos_idx[g.permutation(len(pos_idx))[:n]]
+        neg_take = neg_idx[g.permutation(len(neg_idx))[:n]]
+        take = np.concatenate([pos_take, neg_take])
+        y = np.concatenate(
+            [np.ones(len(pos_take)), np.zeros(len(neg_take))]
+        )
+        take.flags.writeable = y.flags.writeable = False
+        table.draws[key] = take, y
+    return table.draws[key]
+
+
 def sample_balanced(
     table: LocalContext, cols: list[str], n_per_class: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Balanced labelled sample ``(X, y)`` over ``cols``, positives first.
 
     If a class has fewer than ``n_per_class`` members, all are taken (the
-    paper's smallest datasets behave the same way under its 5% rule).
+    paper's smallest datasets behave the same way under its 5% rule). The
+    row draw is memoised per ``(n_per_class, seed)`` (``_draw``); ``y`` is
+    the memo's read-only array, ``X`` a fresh gather of ``cols``.
     """
-    g = np.random.default_rng(seed)
-    pos_idx = np.flatnonzero(table.is_match)
-    neg_idx = np.flatnonzero(~table.is_match)
-    pos_take = pos_idx[g.permutation(len(pos_idx))[: int(n_per_class)]]
-    neg_take = neg_idx[g.permutation(len(neg_idx))[: int(n_per_class)]]
-    take = np.concatenate([pos_take, neg_take])
-    y = np.concatenate(
-        [np.ones(len(pos_take)), np.zeros(len(neg_take))]
-    )
+    take, y = _draw(table, n_per_class, seed)
     ci = [table.columns.index(c) for c in cols]
     # Fortran order: fit_logistic's column sums round by memory layout, and
     # this is the layout the published Spark models (Table 6) trained on.

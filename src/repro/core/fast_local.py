@@ -9,8 +9,11 @@ quality is the sum of its labels, and the sweeps run on it.
 
 The 255-combination sweeps and the figure-section grids (Tables 3/4,
 Sections 5.2/5.4) need thousands of train/score/prune runs on one dataset —
-far too many tiny Spark jobs to launch profitably — so each run here is a
-matrix multiply plus a few sorts/scatter-adds.
+far too many tiny Spark jobs to launch profitably — so each run here does
+only its own work: a gather of its training columns from the draw memoised
+per ``(n_per_class, seed)`` (``classifier.training``), a fit, one matrix
+multiply over C, and a prune whose sorts and scatter-adds run over the
+valid pairs (p >= 0.5) alone, a few thousand of |C| on the paper's data.
 
 The Spark pruners (``core.prune_weight``, ``core.prune_cardinality``) are the
 reference: tests/test_pipeline.py, tests/test_pruning.py and
@@ -65,6 +68,8 @@ class LocalContext:
             self.X[:, j] = features[c].to_numpy()[order]
         self.is_match = match_mask(self.frame(), gt)
         self.n_gt = len(gt)
+        #: ``(n_per_class, seed) -> (take, y)``: the sampler's row draws.
+        self.draws: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def frame(self) -> pd.DataFrame:
         """The table as ``(id1, id2, *columns)``, sharing its arrays."""
@@ -93,49 +98,50 @@ class LocalContext:
         self, p: np.ndarray, algorithm: str, *, K: int = 0, k: int = 1,
         r: float = 0.35,
     ) -> np.ndarray:
-        """Boolean retained-mask over the context's (sorted) pair order."""
-        valid = p >= 0.5
+        """Boolean retained-mask over the context's (sorted) pair order.
+
+        Every rule selects among the valid pairs ``vi`` (p >= 0.5): ``sel``
+        indexes into ``vi``, so no pass runs over the rest of C.
+        """
+        vi = np.flatnonzero(p >= 0.5)
+        pv, c1, c2 = p[vi], self.c1[vi], self.c2[vi]
         if algorithm == "BCl":
-            return valid
-        if algorithm == "WEP":
-            if not valid.any():
-                return valid
-            return valid & (p >= min(p[valid].mean(), p[valid].max()))
-        if algorithm == "BLAST":
+            sel = slice(None)
+        elif algorithm == "WEP":
+            sel = pv >= min(pv.mean(), pv.max()) if len(vi) else slice(None)
+        elif algorithm == "BLAST":
             mx = np.zeros(self.n_entities)
-            np.maximum.at(mx, self.c1[valid], p[valid])
-            np.maximum.at(mx, self.c2[valid], p[valid])
-            return valid & (p >= r * (mx[self.c1] + mx[self.c2]))
-        if algorithm == "CEP":
-            vi = np.flatnonzero(valid)
-            if len(vi) <= K:
-                return valid
-            order = np.lexsort((self.id2[vi], self.id1[vi], -p[vi]))
-            keep = np.zeros_like(valid)
-            keep[vi[order[: int(K)]]] = True
-            return keep
-        if algorithm in ("WNP", "RWNP", "CNP", "RCNP"):
-            vi = np.flatnonzero(valid)
-            order = np.lexsort((self.id2[vi], self.id1[vi], -p[vi]))
-            ranked = vi[order]  # pair indices in global quality order
+            np.maximum.at(mx, c1, pv)
+            np.maximum.at(mx, c2, pv)
+            sel = pv >= r * (mx[c1] + mx[c2])
+        elif algorithm == "CEP":
+            sel = np.lexsort((self.id2[vi], self.id1[vi], -pv))[: int(K)]
+        elif algorithm in ("WNP", "RWNP", "CNP", "RCNP"):
+            order = np.lexsort((self.id2[vi], self.id1[vi], -pv))  # quality order
             # Each entity's neighbourhood spans both endpoint roles: on Dirty
             # ER an entity is id1 of some pairs and id2 of others.
             # Interleaving keeps the global order per entity, so CNP ranks
             # and WNP sums each neighbourhood in (p desc, id1, id2) order, as
             # the Spark window does (DESIGN.md §3).
-            ends = np.stack([self.c1[ranked], self.c2[ranked]], 1).ravel()
+            ends = np.stack([c1[order], c2[order]], 1).ravel()
             if algorithm in ("CNP", "RCNP"):
                 top = _group_cumcount(ends) < int(k)
             else:
-                pe = np.repeat(p[ranked], 2)
+                pe = np.repeat(pv[order], 2)
                 sums = np.bincount(ends, weights=pe, minlength=self.n_entities)
-                top = pe >= sums[ends] / np.bincount(ends, minlength=self.n_entities)[ends]
+                mean = sums[ends] / np.bincount(ends, minlength=self.n_entities)[ends]
+                # A float mean of equal p can round above them all; the true
+                # mean never exceeds the neighbourhood's maximum (DESIGN.md §3).
+                mx = np.zeros(self.n_entities)
+                np.maximum.at(mx, ends, pe)
+                top = pe >= np.minimum(mean, mx[ends])
             in1, in2 = top.reshape(-1, 2).T
-            comb = (in1 & in2) if algorithm in ("RWNP", "RCNP") else (in1 | in2)
-            keep = np.zeros_like(valid)
-            keep[ranked[comb]] = True
-            return keep
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+            sel = order[(in1 & in2) if algorithm in ("RWNP", "RCNP") else (in1 | in2)]
+        else:
+            raise ValueError(f"unknown algorithm {algorithm!r}")
+        keep = np.zeros(len(p), dtype=bool)
+        keep[vi[sel]] = True
+        return keep
 
     # -- end to end --------------------------------------------------------
     def run(

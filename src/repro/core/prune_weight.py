@@ -61,9 +61,12 @@ def wep(scored: DataFrame) -> DataFrame:
 def _node_pruning(scored: DataFrame, *, reciprocal: bool) -> DataFrame:
     whole = _neighbourhood().rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     either_or_both = F.min if reciprocal else F.max
+    # The neighbourhood mean, capped at its maximum as WEP caps the global
+    # one: n equal p can average to just above p (DESIGN.md §3).
+    mean = F.least(F.avg("p").over(whole), F.max("p").over(whole))
     return (
         _endpoints(_valid(scored))
-        .withColumn("_beats", F.col("p") >= F.avg("p").over(whole))
+        .withColumn("_beats", F.col("p") >= mean)
         .groupBy("id1", "id2")
         .agg(either_or_both("_beats").alias("_keep"))
         .filter("_keep")

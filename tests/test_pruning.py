@@ -208,6 +208,28 @@ class TestPartitionInvariance:
             assert "Join" not in plan, fn.__name__
 
 
+class TestEqualProbabilityNeighbourhood:
+    """A star of 7 valid pairs with one probability: entity 0's float mean
+    of seven equal p rounds above p, so only the cap at the neighbourhood's
+    maximum (DESIGN.md §3) keeps its pairs in RWNP."""
+
+    STAR = [(0, leaf) for leaf in range(1, 8)]
+
+    @pytest.mark.parametrize("p", [0.7, 0.9999999999987732])
+    @pytest.mark.parametrize("algo", ["WNP", "RWNP"])
+    def test_both_engines_keep_every_pair(self, spark, algo, p):
+        total = 0.0
+        for _ in self.STAR:  # the neighbourhood's sum, in its own order
+            total += p
+        assert total / len(self.STAR) > p  # the rounding the cap undoes
+        star = pd.DataFrame(
+            [(a, b, p) for a, b in self.STAR], columns=["id1", "id2", "p"]
+        )
+        spark_kept = _pairs(_SPARK_FNS[algo](spark.createDataFrame(star)))
+        assert spark_kept == set(self.STAR)
+        assert _local_pairs(star, algo) == set(self.STAR)
+
+
 class TestAlgorithmRelations:
     """Set-algebra invariants the paper relies on (Section 3)."""
 

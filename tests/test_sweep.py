@@ -79,6 +79,28 @@ class TestSweep:
         assert set(out.columns) == {"fid", "features", "recall", "precision", "f1"}
         assert out["f1"].between(0, 1).all()
 
+    def test_draws_once_per_seed(self, monkeypatch):
+        """Ten feature sets x two seeds: one training draw per seed."""
+        import numpy as np
+
+        from repro.core.fast_local import LocalContext
+
+        feats, gt = _toy_features()
+        seeds, rng = [], np.random.default_rng
+
+        def counting(seed=None):
+            seeds.append(seed)
+            return rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        ctx = LocalContext(feats, gt)
+        sweep_dataset(
+            feats, gt, "BCl", n_train_per_class=10, seeds=[5, 6],
+            feature_sets=enumerate_feature_sets()[:10], context=ctx,
+        )
+        assert sorted(seeds) == [5, 6]
+        assert set(ctx.draws) == {(10, 5), (10, 6)}
+
     def test_informative_feature_beats_noise(self):
         feats, gt = _toy_features()
         out = sweep_dataset(

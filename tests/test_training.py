@@ -95,3 +95,41 @@ class TestSampleBalanced:
         feats = feats.assign(g=feats["f"] * 2)
         X, _ = _sample(feats, gt, ["f", "g"], n_per_class=2, seed=0)
         assert X.flags.f_contiguous
+
+
+class TestDrawMemo:
+    """The row draw depends only on ``(n_per_class, seed)``: it is made once
+    per pair on the table and reused by every column set."""
+
+    def test_repeat_call_equals_fresh_table(self, toy):
+        feats, gt = toy
+        feats = feats.assign(g=feats["f"] * 2)
+        ctx = LocalContext(feats, gt)
+        ctx.sample(["f"], 2, 4)
+        ctx.sample(["g", "f"], 2, 4)
+        got = ctx.sample(["g"], 2, 4)
+        want = LocalContext(feats, gt).sample(["g"], 2, 4)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[0].flags.f_contiguous
+
+    def test_one_entry_per_size_and_seed(self, toy):
+        feats, gt = toy
+        ctx = LocalContext(feats, gt)
+        for n, seed in [(2, 0), (2, 0), (3, 0), (2, 1), (2, 1)]:
+            ctx.sample(["f"], n, seed)
+        assert set(ctx.draws) == {(2, 0), (3, 0), (2, 1)}
+        takes = {k: tuple(take) for k, (take, _) in ctx.draws.items()}
+        assert takes[(2, 0)] != takes[(3, 0)]
+        assert len(set(takes.values())) == 3
+
+    def test_cached_arrays_are_read_only(self, toy):
+        feats, gt = toy
+        ctx = LocalContext(feats, gt)
+        _, y = ctx.sample(["f"], 2, 0)
+        (take, y_memo), = ctx.draws.values()
+        assert y is y_memo
+        for a in (take, y_memo):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 1
