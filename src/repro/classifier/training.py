@@ -2,7 +2,10 @@
 
 Positives are candidate pairs present in the ground truth; negatives are the
 rest. ``match_mask`` labels the candidates, once per dataset, when
-``core.fast_local.LocalContext`` builds the driver-side candidate table.
+``core.fast_local.LocalContext`` builds the driver-side candidate table: the
+pairs are held in ``(c1, c2)`` entity-code order, so their keys
+``c1·|E| + c2`` are sorted and each ground-truth pair is found by one binary
+search (no hash index over C).
 ``sample_balanced`` is the one sampler: it draws ``n_per_class`` of each
 class from that table, deterministically in ``seed`` (rows in canonical
 ``(id1, id2)`` order, shuffled by a seeded NumPy permutation). The Spark
@@ -19,16 +22,37 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 import numpy as np
-import pandas as pd
 
 if TYPE_CHECKING:
     from repro.core.fast_local import LocalContext
 
 
-def match_mask(pairs: pd.DataFrame, gt: pd.DataFrame) -> np.ndarray:
-    """Boolean mask: is each (id1, id2) row of ``pairs`` in the truth?"""
-    key = pd.MultiIndex.from_frame(gt[["id1", "id2"]])
-    return pd.MultiIndex.from_frame(pairs[["id1", "id2"]]).isin(key)
+def match_mask(
+    uniq: np.ndarray, c1: np.ndarray, c2: np.ndarray, gt
+) -> np.ndarray:
+    """Boolean mask: is each candidate pair in the truth ``gt``?
+
+    The candidates are distinct pairs of entity codes ``(c1, c2)`` into
+    ``uniq``, the sorted distinct entity ids, in ``(c1, c2)`` order, so the
+    key ``c1·|E| + c2`` is sorted. ``gt`` is any table with ``id1`` and
+    ``id2`` columns (pandas or pyarrow); a truth pair with an id outside
+    ``uniq`` is not a candidate.
+    """
+    n_e = len(uniq)
+    key = c1 * n_e + c2
+    codes, known = [], np.ones(len(gt), dtype=bool)
+    for c in ("id1", "id2"):
+        ids = np.asarray(gt[c])
+        lo = np.searchsorted(uniq, ids, side="left")
+        known &= np.searchsorted(uniq, ids, side="right") > lo
+        codes.append(lo)
+    gkey = codes[0][known] * n_e + codes[1][known]
+    at = np.searchsorted(key, gkey)
+    hit = at < len(key)
+    hit[hit] = key[at[hit]] == gkey[hit]
+    mask = np.zeros(len(key), dtype=bool)
+    mask[at[hit]] = True
+    return mask
 
 
 def _draw(

@@ -3,7 +3,11 @@
 ``LocalContext`` is the candidate set C as the driver holds it: the pairs in
 canonical ``(id1, id2)`` order, their feature matrix, the factorised
 endpoints and the ground-truth label of each pair. ``prepare_dataset``
-builds it once per dataset from the collected feature frame; the Spark
+builds it once per dataset from the Arrow table of the collected feature
+frame (a pandas frame takes the same path): each column is gathered by the
+canonical order straight into its column of a preallocated matrix, the
+entity codes are binary searches into the sorted distinct ids, and the
+labels binary searches of the sorted pair keys (``match_mask``). The Spark
 pipeline draws its training set from it (``sample_balanced``), block
 quality is the sum of its labels, and the sweeps run on it.
 
@@ -49,24 +53,43 @@ def _group_cumcount(codes: np.ndarray) -> np.ndarray:
 class LocalContext:
     """The candidate table, labelled, in canonical ``(id1, id2)`` order."""
 
-    def __init__(self, features: pd.DataFrame, gt: pd.DataFrame):
+    def __init__(self, features, gt):
+        """``features``: ``(id1, id2, *columns)`` as a pyarrow ``Table`` (the
+        Arrow collect of ``prepare_dataset``) or a pandas frame, in any row
+        order; ``gt``: the ground-truth ``(id1, id2)`` pairs, either kind.
+        Every column is read by name with ``np.asarray``, so both kinds take
+        the same path."""
         # Order by (id1, id2) and gather each column once into its place: no
-        # sorted copy of the whole frame. X is Fortran-ordered, the layout
+        # sorted copy of the whole table. X is Fortran-ordered, the layout
         # DataFrame.to_numpy gives, so scores are bit-identical to it.
-        id1, id2 = features["id1"].to_numpy(), features["id2"].to_numpy()
+        id1, id2 = np.asarray(features["id1"]), np.asarray(features["id2"])
         order = np.lexsort((id2, id1))
         self.ids = np.stack([id1[order], id2[order]])
         self.id1, self.id2 = self.ids
-        uniq, codes = np.unique(self.ids, return_inverse=True)
-        self.n_entities = len(uniq)
+        del id1, id2  # copies when read from Arrow
+        # Entity codes by binary search into the sorted distinct ids: the
+        # inverse np.unique gives over all 2|C| endpoints, without sorting
+        # them. id1 is sorted already, so only id2 needs a sort.
         n = len(order)
-        self.c1 = codes[:n]
-        self.c2 = codes[n:]
-        self.columns = [c for c in features.columns if c not in ("id1", "id2")]
+        first = np.ones(n, dtype=bool)
+        first[1:] = self.id1[1:] != self.id1[:-1]
+        uniq = np.union1d(self.id1[first], np.unique(self.id2))
+        self.n_entities = len(uniq)
+        self.c1 = np.searchsorted(uniq, self.id1)
+        self.c2 = np.searchsorted(uniq, self.id2)
+        names = (
+            features.column_names if hasattr(features, "column_names")
+            else features.columns
+        )
+        self.columns = [c for c in names if c not in ("id1", "id2")]
         self.X = np.empty((n, len(self.columns)), dtype=np.float64, order="F")
         for j, c in enumerate(self.columns):
-            self.X[:, j] = features[c].to_numpy()[order]
-        self.is_match = match_mask(self.frame(), gt)
+            # mode="clip": order is a permutation, and "raise" would buffer
+            # the gather in a temporary column.
+            np.take(np.asarray(features[c], dtype=np.float64), order,
+                    out=self.X[:, j], mode="clip")
+        del order
+        self.is_match = match_mask(uniq, self.c1, self.c2, gt)
         self.n_gt = len(gt)
         #: ``(n_per_class, seed) -> (take, y)``: the sampler's row draws.
         self.draws: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}

@@ -3,9 +3,10 @@
 ``prepare_dataset`` runs blocking + feature generation once per dataset,
 local-checkpoints the Spark feature frame (every later plan starts from one
 stored RDD scan, not the blocking + features DAG) *and* collects it to the
-driver (8.6M rows at the largest analog, D300K) into the one driver-side
-candidate table, ``core.fast_local.LocalContext``: canonical ``(id1, id2)``
-order, every pair labelled against the ground truth. Block quality is the
+driver (8.6M rows at the largest analog, D300K) as an Arrow table
+(``DataFrame.toArrow``, no pandas copy) into the one driver-side candidate
+table, ``core.fast_local.LocalContext``: canonical ``(id1, id2)`` order,
+every pair labelled against the ground truth. Block quality is the
 sum of its labels, the training sampler draws from it, and the sweeps run on
 it, while scoring and pruning — the paper's contribution — run in Spark.
 ``run_method`` trains the probabilistic classifier, scores every candidate
@@ -104,9 +105,10 @@ def prepare_dataset(
     features = features.localCheckpoint(eager=False)
     gt = ground_truth.select("id1", "id2").cache()
     gt_pdf = gt.toPandas()
-    # One job, which also stores the checkpoint; the collected frame lives
-    # only until the context has gathered it into canonical order.
-    context = LocalContext(features.toPandas(), gt_pdf)
+    # One job, which also stores the checkpoint. The context gathers each
+    # column of the collected Arrow table straight into its own arrays (no
+    # pandas frame of C); the table lives only for that call.
+    context = LocalContext(features.toArrow(), gt_pdf)
     return DatasetArtifacts(
         name=name,
         collection=collection,

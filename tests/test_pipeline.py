@@ -10,7 +10,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-import repro.classifier.training as training
+import repro.core.fast_local as fast_local
 from repro.core.fast_local import LocalContext
 from repro.core.pipeline import (
     FEATURES_21,
@@ -152,12 +152,32 @@ class TestDriverWork:
             raise AssertionError("|C|-sized driver work inside run_method")
 
         monkeypatch.setattr(pd.DataFrame, "sort_values", boom)
-        monkeypatch.setattr(pd.MultiIndex, "isin", boom)
-        monkeypatch.setattr(training, "match_mask", boom)
+        monkeypatch.setattr(fast_local, "match_mask", boom)
         monkeypatch.setattr(LocalContext, "__init__", boom)
         res = run_method(arts, "BLAST", feature_set=FEATURES_BLAST,
                          n_train_per_class=20, seed=3)
         assert res.eff.n_pairs > 0
+
+    def test_prepare_collects_the_features_as_arrow(self, spark, monkeypatch):
+        """The |C|-row feature frame reaches the driver as an Arrow table,
+        never as a pandas frame: the one ``toPandas`` is the ground truth's."""
+        cls = type(spark.range(1))
+        real = cls.toPandas
+        collected = []
+
+        def spy(self, *args, **kwargs):
+            collected.append(self.columns)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "toPandas", spy)
+        ent, gt = clean_clean(
+            ERConfig(n_matches=20, n_only1=5, n_only2=5, vocab_size=300, seed=8)
+        )
+        arts = prepare_dataset(
+            spark, "arrow", to_spark(spark, ent), to_spark(spark, gt), "clean"
+        )
+        assert collected == [["id1", "id2"]]
+        assert arts.n_candidates == arts.features.count() > 0
 
 
 def _entities(texts, task):

@@ -16,6 +16,11 @@ others).
   counts, including on a graph with no valid pair.
 - ``TestSetAlgebra``: a Hypothesis property test of the relations between
   the rules on ``LocalContext`` alone.
+- ``TestConstantFeature``: a model trained with a constant feature column
+  (alone, it scores every pair exactly 0.5) keeps the same pairs on both
+  engines, Catalyst scoring included.
+- ``TestBlastBoundary``: BLAST pairs exactly on, one float step below and
+  one above ``r·(max_i + max_j)``.
 """
 import numpy as np
 import pandas as pd
@@ -23,9 +28,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.classifier.logistic import fit_logistic
 from repro.core.fast_local import LocalContext
-from repro.core.pipeline import PRUNERS
-from tests.test_fast_local import _both_engines
+from repro.core.pipeline import PRUNERS, score_pairs
+from tests.test_fast_local import _both_engines, _spark_kept
 
 GRID = [0.25, 0.5, 0.6, 0.7, 0.8, 0.9999999999987732]
 
@@ -124,3 +130,56 @@ class TestSetAlgebra:
         wnp = np.r_[kept["WNP"], kept["WNP"]]
         valid = np.r_[bcl, bcl]
         assert set(ends[wnp]) == set(ends[valid])
+
+
+class TestConstantFeature:
+    """A feature constant over C has zero spread: the fit gives it no
+    weight, and Spark (Catalyst scoring, Spark pruners) keeps what
+    ``LocalContext`` (NumPy scoring and pruning) keeps. With the constant
+    column alone, every pair scores exactly 0.5 and every rule is a tie."""
+
+    @pytest.mark.parametrize("cols", [["a", "c", "z"], ["c"]])
+    def test_engines_agree(self, spark, shuffle_partitions, cols):
+        graph = random_graph("dirty", 6).drop(columns="p")
+        g = np.random.default_rng(6)
+        truth = graph.sample(20, random_state=6)[["id1", "id2"]]
+        hit = graph.merge(truth.assign(m=1.0), how="left")["m"].fillna(0.0)
+        graph = graph.assign(a=hit + g.random(len(graph)), c=1.0, z=0.0)
+        ctx = LocalContext(graph, truth)
+        model = fit_logistic(*ctx.sample(cols, 10, 1), cols)
+        assert np.isfinite(model.coef).all() and model.coef[cols.index("c")] == 0.0
+        p = ctx.score(cols, 10, 1)
+        if cols == ["c"]:
+            assert (p == 0.5).all()
+        scored = score_pairs(spark.createDataFrame(graph), model).cache()
+        n_valid = int((p >= 0.5).sum())
+        for algo in PRUNERS:
+            keep = ctx.prune(p, algo, K=n_valid // 2, k=2)
+            local = set(zip(ctx.id1[keep].tolist(), ctx.id2[keep].tolist()))
+            assert local == _spark_kept(scored, algo, n_valid // 2, 2), algo
+        scored.unpersist()
+
+
+class TestBlastBoundary:
+    """BLAST keeps a pair whose p equals r·(max_i + max_j) exactly, and
+    drops the one a float step below, on both engines."""
+
+    def test_pair_on_the_threshold(self, spark, shuffle_partitions):
+        r = 0.35
+        pairs, ps, expect = [], [], {}
+        for h, (m1, m2) in enumerate([(0.9, 0.95), (0.8, 0.9999999999987732), (0.7, 0.75)]):
+            thr = r * (m1 + m2)  # the engines' own arithmetic
+            for s, (p, kept) in enumerate(
+                [(thr, True), (np.nextafter(thr, 0.0), False), (np.nextafter(thr, 1.0), True)]
+            ):
+                i, j = 100 * h + 10 * s, 100 * h + 10 * s + 1  # two hubs
+                pairs += [(i, j), (i, 5000 + i), (j, 5000 + j)]
+                ps += [p, m1, m2]
+                expect[(i, j)] = kept
+        graph = _graph(pairs, ps)
+        assert (graph["p"] >= 0.5).all()
+        ctx = LocalContext(graph, graph.iloc[:0])
+        keep = ctx.prune(ctx.X[:, 0], "BLAST", r=r)
+        got = dict(zip(zip(ctx.id1.tolist(), ctx.id2.tolist()), keep.tolist()))
+        assert {pair: got[pair] for pair in expect} == expect
+        both_engines(spark, graph, K=len(graph) // 2, k=1)

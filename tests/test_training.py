@@ -25,16 +25,25 @@ def _sample(feats, gt, cols, *, n_per_class, seed):
     return sample_balanced(LocalContext(feats, gt), cols, n_per_class, seed)
 
 
+def _codes(feats):
+    """``(uniq, c1, c2)`` of a frame already in ``(id1, id2)`` order."""
+    uniq = np.unique(feats[["id1", "id2"]])
+    return uniq, np.searchsorted(uniq, feats["id1"]), np.searchsorted(uniq, feats["id2"])
+
+
 class TestMatchMask:
     def test_marks_exactly_the_truth(self, toy):
+        """Truth pairs outside C, with an id outside C or reversed, mark
+        nothing."""
         feats, gt = toy
-        mask = match_mask(feats, gt)
+        gt = pd.concat([gt, pd.DataFrame({"id1": [1, 99, 4, 11], "id2": [13, 11, 14, 1]})])
+        mask = match_mask(*_codes(feats), gt)
         got = feats[mask][["id1", "id2"]].apply(tuple, axis=1).tolist()
         assert sorted(got) == [(1, 11), (2, 12), (3, 13)]
 
     def test_empty_truth(self, toy):
         feats, _ = toy
-        assert match_mask(feats, pd.DataFrame({"id1": [], "id2": []})).sum() == 0
+        assert match_mask(*_codes(feats), pd.DataFrame({"id1": [], "id2": []})).sum() == 0
 
 
 class TestSampleBalanced:
